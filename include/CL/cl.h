@@ -4,7 +4,8 @@
  *
  * Unmodified OpenCL 1.1 host programs compile against this header and link
  * against the MiniCL runtime: the entry points are a thin C shim
- * (src/ocl/cl_shim.cpp) over the same C++ runtime behind mcl.h. One
+ * (src/ocl/cl_shim.cpp) over the C++ runtime; CL/cl_ext_mcl.h adds the
+ * MiniCL-specific extensions (tracing, kernel profiles, metrics, tuning). One
  * deliberate deviation: MiniCL has no OpenCL C compiler — kernels are
  * pre-registered native bodies — so clBuildProgram *binds* the __kernel
  * names found in the source text against the registered kernel-descriptor

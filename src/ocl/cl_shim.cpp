@@ -1,10 +1,11 @@
-// The CL 1.1 C shim: every entry point declared in include/CL/cl.h,
-// implemented over the C++ runtime (Platform/Context/CommandQueue/Buffer/
-// Kernel). Handles are heap objects with OpenCL reference-count semantics
-// and implicit retain chains (a queue retains its context and device, a
-// kernel its program, an event its queue...), so teardown order never
-// matters to the host program — exactly the contract real CL programs rely
-// on.
+// The CL 1.1 C shim: every entry point declared in include/CL/cl.h and the
+// MCL vendor extensions in include/CL/cl_ext_mcl.h, implemented over the C++
+// runtime (Platform/Context/CommandQueue/Buffer/Kernel). This is MiniCL's
+// only C surface. Handles are heap objects with OpenCL reference-count
+// semantics and implicit retain chains (a queue retains its context and
+// device, a kernel its program, an event its queue...), so teardown order
+// never matters to the host program — exactly the contract real CL programs
+// rely on.
 //
 // Deliberate deviations (documented in docs/cl_shim.md):
 //  - clBuildProgram has no OpenCL C compiler behind it: it *binds* the
@@ -22,12 +23,14 @@
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include <CL/cl.h>
+#include <CL/cl_ext_mcl.h>
 
 #include "core/error.hpp"
 #include "ocl/buffer.hpp"
@@ -37,6 +40,10 @@
 #include "ocl/platform.hpp"
 #include "ocl/queue.hpp"
 #include "ocl/types.hpp"
+#include "prof/metrics.hpp"
+#include "prof/profiler.hpp"
+#include "trace/trace.hpp"
+#include "tune/tune.hpp"
 
 namespace mocl = mcl::ocl;
 namespace mcore = mcl::core;
@@ -116,7 +123,7 @@ namespace {
 // --- live-handle registries --------------------------------------------------
 // Devices: validates cl_device_id arguments (roots + live sub-device
 // handles). Mems: lets clSetKernelArg distinguish a cl_mem argument from a
-// pointer-sized scalar, the same trick the mcl C API uses.
+// pointer-sized scalar.
 
 std::mutex& device_registry_mutex() {
   static std::mutex m;
@@ -1991,8 +1998,143 @@ cl_int clEnqueueBarrier(cl_command_queue command_queue) {
 }
 
 void* clGetExtensionFunctionAddress(const char* func_name) {
-  (void)func_name;  // no extensions are exported
+  // The cl_ext_mcl.h entry points are linked directly; with no ICD loader
+  // there is nothing to look up.
+  (void)func_name;
   return nullptr;
+}
+
+/* --- MCL extensions (CL/cl_ext_mcl.h) ---------------------------------------- */
+
+// intern() only when recording: callers may pass transient strings, and the
+// disabled path must stay at one relaxed load.
+cl_int clTraceBeginMCL(const char* name) {
+  if (name == nullptr) return CL_INVALID_VALUE;
+  if (mcl::trace::enabled()) mcl::trace::span_begin(mcl::trace::intern(name));
+  return CL_SUCCESS;
+}
+
+cl_int clTraceEndMCL(const char* name) {
+  if (name == nullptr) return CL_INVALID_VALUE;
+  if (mcl::trace::enabled()) mcl::trace::span_end(mcl::trace::intern(name));
+  return CL_SUCCESS;
+}
+
+cl_int clTraceCounterMCL(const char* name, cl_double value) {
+  if (name == nullptr) return CL_INVALID_VALUE;
+  if (mcl::trace::enabled()) {
+    mcl::trace::counter(mcl::trace::intern(name), value);
+  }
+  return CL_SUCCESS;
+}
+
+cl_int clGetEventKernelProfileMCL(cl_event event,
+                                  cl_kernel_profile_mcl* profile) {
+  if (event == nullptr || !event->event) return CL_INVALID_EVENT;
+  if (profile == nullptr) return CL_INVALID_VALUE;
+  mcl::prof::KernelProfile p;
+  try {
+    p = event->event->kernel_profile();  // throws unless a finished kernel
+  } catch (const mcore::Error&) {
+    return CL_PROFILING_INFO_NOT_AVAILABLE;
+  }
+  if (p.launches == 0) return CL_PROFILING_INFO_NOT_AVAILABLE;  // no session
+  std::memset(profile, 0, sizeof(*profile));
+  std::strncpy(profile->kernel, p.name.c_str(), sizeof(profile->kernel) - 1);
+  profile->launches = p.launches;
+  profile->workgroups = p.groups;
+  profile->items = p.items;
+  profile->cycles = p.cycles;
+  profile->instructions = p.instructions;
+  profile->cache_references = p.cache_references;
+  profile->cache_misses = p.cache_misses;
+  profile->branches = p.branches;
+  profile->branch_misses = p.branch_misses;
+  profile->seconds = p.seconds;
+  profile->ipc = p.ipc();
+  profile->cache_miss_rate = p.cache_miss_rate();
+  profile->bytes_per_cycle = p.bytes_per_cycle();
+  profile->achieved_gbps = p.achieved_gbps();
+  profile->hardware = p.hardware ? CL_TRUE : CL_FALSE;
+  return CL_SUCCESS;
+}
+
+cl_int clGetMetricsSnapshotMCL(size_t buf_size, char* buf, size_t* size_ret) {
+  if (buf == nullptr && size_ret == nullptr) return CL_INVALID_VALUE;
+  return guarded([&] {
+    const std::string json = mcl::prof::metrics_json(mcl::prof::snapshot());
+    if (size_ret != nullptr) *size_ret = json.size() + 1;
+    if (buf != nullptr && buf_size > 0) {
+      const std::size_t n = std::min(buf_size - 1, json.size());
+      std::memcpy(buf, json.data(), n);
+      buf[n] = '\0';
+    }
+    return CL_SUCCESS;
+  });
+}
+
+cl_int clSetTuningModeMCL(cl_int mode) {
+  mcl::tune::Mode m;
+  switch (mode) {
+    case CL_TUNE_OFF_MCL: m = mcl::tune::Mode::Off; break;
+    case CL_TUNE_SEED_MCL: m = mcl::tune::Mode::Seed; break;
+    case CL_TUNE_ONLINE_MCL: m = mcl::tune::Mode::Online; break;
+    default: return CL_INVALID_VALUE;
+  }
+  mcl::tune::Tuner::instance().set_mode(m);
+  return CL_SUCCESS;
+}
+
+cl_int clGetKernelTunedConfigMCL(cl_kernel kernel, cl_device_id device,
+                                 cl_uint work_dim, const size_t* global_size,
+                                 cl_tuned_config_mcl* config) {
+  if (kernel == nullptr || !kernel->kernel) return CL_INVALID_KERNEL;
+  if (!device_live(device) ||
+      !kernel->program->context->context->has_device(*device->device)) {
+    return CL_INVALID_DEVICE;
+  }
+  if (work_dim < 1 || work_dim > 3) return CL_INVALID_WORK_DIMENSION;
+  if (global_size == nullptr) return CL_INVALID_GLOBAL_WORK_SIZE;
+  for (cl_uint d = 0; d < work_dim; ++d) {
+    if (global_size[d] == 0) return CL_INVALID_GLOBAL_WORK_SIZE;
+  }
+  if (config == nullptr) return CL_INVALID_VALUE;
+  return guarded([&] {
+    bool has_local_args = false;
+    {
+      std::lock_guard<std::mutex> lock(kernel->mutex);
+      has_local_args = kernel->kernel->args().total_local_bytes() > 0;
+    }
+    // Keyed like the launch path: NULL local, the kernel's current local
+    // args, and the device's compute units (the shard width on a
+    // sub-device).
+    const std::optional<mcl::tune::TunedConfig> best =
+        mcl::tune::Tuner::instance().tuned_config(
+            kernel->kernel->def(), make_range(work_dim, global_size),
+            mocl::NDRange{}, has_local_args,
+            static_cast<std::size_t>(
+                std::max(1, device->device->compute_units())));
+    if (!best) return CL_INVALID_OPERATION;
+    std::memset(config, 0, sizeof(*config));
+    config->work_dim = static_cast<cl_uint>(best->local.dims);
+    for (std::size_t d = 0; d < 3; ++d) {
+      config->local_size[d] = best->local.size[d];
+    }
+    switch (best->executor) {
+      case mocl::ExecutorKind::Loop: config->executor = 1; break;
+      case mocl::ExecutorKind::Fiber: config->executor = 2; break;
+      case mocl::ExecutorKind::Simd: config->executor = 3; break;
+      case mocl::ExecutorKind::Auto:
+      case mocl::ExecutorKind::Checked: config->executor = 0; break;
+    }
+    config->chunk_divisor = static_cast<cl_uint>(best->chunk_divisor);
+    config->work_stealing =
+        best->scheduler == mcl::threading::ScheduleStrategy::WorkStealing
+            ? CL_TRUE
+            : CL_FALSE;
+    config->prefer_map = best->prefer_map ? CL_TRUE : CL_FALSE;
+    return CL_SUCCESS;
+  });
 }
 
 }  // extern "C"

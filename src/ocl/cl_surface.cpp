@@ -12,7 +12,8 @@ using S = ClSurfaceStatus;
 // (tests/cl_errors_test.cpp); the conformance programs are unmodified
 // external-style C hosts (examples/conformance/); `kShim` is the C++
 // integration suite (tests/cl_shim_test.cpp); `kSubdev` the sub-device
-// sharding suite (tests/subdevice_test.cpp).
+// sharding suite (tests/subdevice_test.cpp). The MCL extension rows
+// (CL/cl_ext_mcl.h) are also covered by the trace and tune suites.
 constexpr const char* kMatrix = "cl_errors_test";
 constexpr const char* kHello = "conformance_hello_opencl";
 constexpr const char* kMin = "conformance_parallel_min";
@@ -24,6 +25,8 @@ constexpr const char* kCore =
     "cl_errors_test,conformance_hello_opencl,conformance_parallel_min,cl_shim_test";
 constexpr const char* kMatrixHello = "cl_errors_test,conformance_hello_opencl";
 constexpr const char* kMatrixSubdev = "cl_errors_test,subdevice_test";
+constexpr const char* kMatrixTrace = "cl_errors_test,trace_test";
+constexpr const char* kMatrixTune = "cl_errors_test,tune_test";
 
 // Sorted by name (asserted by the drift-guard test).
 constexpr ClSurfaceEntry kSurface[] = {
@@ -98,17 +101,27 @@ constexpr ClSurfaceEntry kSurface[] = {
      "host-relevant subset incl. partition/parent queries for sub-devices"},
     {"clGetEventInfo", S::Implemented, kMatrixShim,
      "execution status, command type, queue/context, reference count"},
+    {"clGetEventKernelProfileMCL", S::Implemented, kMatrixShim,
+     "MCL extension: per-launch kernel profile of a kernel event launched "
+     "under a profiling session"},
     {"clGetEventProfilingInfo", S::Implemented, kCore,
      "QUEUED/SUBMIT/START/END from the shared steady-clock epoch"},
     {"clGetExtensionFunctionAddress", S::Implemented, kMatrix,
-     "always NULL: no extensions are exported"},
+     "always NULL: with no ICD loader the MCL extensions are linked "
+     "directly"},
     {"clGetImageInfo", S::Unsupported, "", "no image support"},
     {"clGetKernelInfo", S::Implemented, kMatrixShim,
      "function name, reference count, context/program"},
+    {"clGetKernelTunedConfigMCL", S::Implemented, kMatrixTune,
+     "MCL extension: the tuner's config for a launch shape, keyed on the "
+     "device's compute units"},
     {"clGetKernelWorkGroupInfo", S::Implemented, kMatrixShim,
      "work-group size limits and the preferred SIMD multiple per device"},
     {"clGetMemObjectInfo", S::Implemented, kMatrixShim,
      "type/flags/size/map-count/reference-count/context, sub-buffer origin"},
+    {"clGetMetricsSnapshotMCL", S::Implemented, kMatrixShim,
+     "MCL extension: metrics registry as JSON, size query and truncating "
+     "copy"},
     {"clGetPlatformIDs", S::Implemented, kCore, "exactly one platform"},
     {"clGetPlatformInfo", S::Implemented, kMatrixHello,
      "profile/version/name/vendor/extensions strings"},
@@ -143,8 +156,16 @@ constexpr ClSurfaceEntry kSurface[] = {
     {"clSetKernelArg", S::Implemented, kCore,
      "buffers (by live-handle detection), scalars, and NULL local-memory "
      "requests"},
+    {"clSetTuningModeMCL", S::Implemented, kMatrixTune,
+     "MCL extension: process-wide tuning mode (off/seed/online)"},
     {"clSetUserEventStatus", S::Implemented, kMatrixShim,
      "CL_COMPLETE or a negative error, exactly once"},
+    {"clTraceBeginMCL", S::Implemented, kMatrixTrace,
+     "MCL extension: opens a host-phase trace span"},
+    {"clTraceCounterMCL", S::Implemented, kMatrixTrace,
+     "MCL extension: samples a named trace counter"},
+    {"clTraceEndMCL", S::Implemented, kMatrixTrace,
+     "MCL extension: closes the innermost host-phase trace span"},
     {"clUnloadCompiler", S::Implemented, kMatrix,
      "no compiler to unload; returns CL_SUCCESS"},
     {"clWaitForEvents", S::Implemented, kMatrixShim,

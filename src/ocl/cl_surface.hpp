@@ -1,11 +1,12 @@
 // CL 1.1 shim surface table.
 //
-// One row per CL entry point, recording its implementation status and the
-// tests that cover it. This single table drives three consumers so none can
-// drift from the shim itself:
+// One row per CL entry point (CL/cl.h plus the CL/cl_ext_mcl.h extensions),
+// recording its implementation status and the tests that cover it. This
+// single table drives three consumers so none can drift from the shim
+// itself:
 //  - the docs matrix in docs/cl_shim.md (reviewed against this table),
 //  - the drift-guard tests in tests/cl_errors_test.cpp (the set of names
-//    declared in include/CL/cl.h must equal the Implemented+Stubbed rows,
+//    declared in the two headers must equal the Implemented+Stubbed rows,
 //    and every Implemented row must name at least one covering test),
 //  - tools/mclconform, which emits the conformance.json coverage report
 //    that plot_results.py --check validates in tier1 (an Implemented entry

@@ -49,7 +49,7 @@ class KernelArgs {
     set_scalar_bytes(index, &value, sizeof(T));
   }
 
-  /// Raw-byte form of set_scalar for callers (the C API, mclserve's
+  /// Raw-byte form of set_scalar for callers (clSetKernelArg, mclserve's
   /// descriptor replay) that carry the argument as (pointer, size) with no
   /// static type: the exact arg_size is preserved in the slot.
   void set_scalar_bytes(std::size_t index, const void* bytes,

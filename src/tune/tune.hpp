@@ -27,9 +27,9 @@
 //      processes skip exploration entirely.
 //
 // Launch-path wiring lives in ocl::CpuDevice::launch behind
-// MCL_TUNE={off,seed,online}; the C API exposes mclSetTuning /
-// mclGetTunedConfig. Decisions surface as "tune.decide:<kernel>" trace
-// instants and tune.* metrics. See docs/tune.md.
+// MCL_TUNE={off,seed,online}; CL/cl_ext_mcl.h exposes clSetTuningModeMCL /
+// clGetKernelTunedConfigMCL. Decisions surface as "tune.decide:<kernel>"
+// trace instants and tune.* metrics. See docs/tune.md.
 #pragma once
 
 #include <atomic>
@@ -69,8 +69,9 @@ struct TunedConfig {
   threading::ScheduleStrategy scheduler =
       threading::ScheduleStrategy::CentralCounter;
   /// Transfer-plan advice: map/unmap instead of explicit copies. Advisory —
-  /// the launch path does not move data; benches and mclGetTunedConfig
-  /// consume it (on the CPU mapping is zero-copy, paper Fig 7/8).
+  /// the launch path does not move data; benches and
+  /// clGetKernelTunedConfigMCL consume it (on the CPU mapping is zero-copy,
+  /// paper Fig 7/8).
   bool prefer_map = true;
 
   [[nodiscard]] std::string to_string() const;
@@ -200,7 +201,8 @@ class Tuner {
 
   /// The current best config for a launch shape without recording a
   /// decision: the incumbent when an entry exists, else the seed ranking's
-  /// top candidate. Works in every mode (pure query; mclGetTunedConfig).
+  /// top candidate. Works in every mode (pure query;
+  /// clGetKernelTunedConfigMCL).
   [[nodiscard]] std::optional<TunedConfig> tuned_config(
       const ocl::KernelDef& def, const ocl::NDRange& global,
       const ocl::NDRange& local, bool has_local_args, std::size_t threads);

@@ -1,8 +1,9 @@
 // CL error-code matrix + drift guards for the binary-compatible shim.
 //
 // Two halves:
-//  1. Drift guards: the set of entry points declared in include/CL/cl.h must
-//     equal the Implemented+Stubbed rows of the cl_surface() table, the table
+//  1. Drift guards: the set of entry points declared in include/CL/cl.h and
+//     include/CL/cl_ext_mcl.h must equal the Implemented+Stubbed rows of the
+//     cl_surface() table, the table
 //     must stay sorted, every Implemented row must name a covering test, and
 //     the numeric expectations below must agree with status_to_cl_code() —
 //     so neither the header, the surface table, nor this test can drift from
@@ -22,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include <CL/cl.h>
+#include <CL/cl_ext_mcl.h>
 
 #include "core/error.hpp"
 #include "ocl/cl_status.hpp"
@@ -666,6 +668,97 @@ const std::vector<MatrixCase>& matrix() {
        [](Fix&) { return clRetainEvent(nullptr); }},
       {"clReleaseEvent", "NULL event", CL_INVALID_EVENT,
        [](Fix&) { return clReleaseEvent(nullptr); }},
+
+      // --- MCL extensions (CL/cl_ext_mcl.h) ---
+      {"clTraceBeginMCL", "NULL name", CL_INVALID_VALUE,
+       [](Fix&) { return clTraceBeginMCL(nullptr); }},
+      {"clTraceEndMCL", "NULL name", CL_INVALID_VALUE,
+       [](Fix&) { return clTraceEndMCL(nullptr); }},
+      {"clTraceCounterMCL", "NULL name", CL_INVALID_VALUE,
+       [](Fix&) { return clTraceCounterMCL(nullptr, 1.0); }},
+      {"clGetEventKernelProfileMCL", "NULL event", CL_INVALID_EVENT,
+       [](Fix&) {
+         cl_kernel_profile_mcl p;
+         return clGetEventKernelProfileMCL(nullptr, &p);
+       }},
+      {"clGetEventKernelProfileMCL", "NULL profile", CL_INVALID_VALUE,
+       [](Fix& f) {
+         cl_int err = CL_SUCCESS;
+         cl_event ev = clCreateUserEvent(f.context, &err);
+         EXPECT_EQ(CL_SUCCESS, err);
+         clSetUserEventStatus(ev, CL_COMPLETE);
+         cl_int got = clGetEventKernelProfileMCL(ev, nullptr);
+         clReleaseEvent(ev);
+         return got;
+       }},
+      {"clGetEventKernelProfileMCL", "user event is not a kernel command",
+       CL_PROFILING_INFO_NOT_AVAILABLE,
+       [](Fix& f) {
+         cl_int err = CL_SUCCESS;
+         cl_event ev = clCreateUserEvent(f.context, &err);
+         EXPECT_EQ(CL_SUCCESS, err);
+         clSetUserEventStatus(ev, CL_COMPLETE);
+         cl_kernel_profile_mcl p;
+         cl_int got = clGetEventKernelProfileMCL(ev, &p);
+         clReleaseEvent(ev);
+         return got;
+       }},
+      {"clGetMetricsSnapshotMCL", "NULL buffer and NULL size_ret",
+       CL_INVALID_VALUE,
+       [](Fix&) { return clGetMetricsSnapshotMCL(0, nullptr, nullptr); }},
+      {"clSetTuningModeMCL", "unknown mode", CL_INVALID_VALUE,
+       [](Fix&) { return clSetTuningModeMCL(7); }},
+      {"clGetKernelTunedConfigMCL", "NULL kernel", CL_INVALID_KERNEL,
+       [](Fix& f) {
+         const size_t global = 4096;
+         cl_tuned_config_mcl cfg;
+         return clGetKernelTunedConfigMCL(nullptr, f.cpu, 1, &global, &cfg);
+       }},
+      {"clGetKernelTunedConfigMCL", "NULL device", CL_INVALID_DEVICE,
+       [](Fix& f) {
+         const size_t global = 4096;
+         cl_tuned_config_mcl cfg;
+         cl_kernel k = f.make_kernel();
+         cl_int got = clGetKernelTunedConfigMCL(k, nullptr, 1, &global, &cfg);
+         clReleaseKernel(k);
+         return got;
+       }},
+      {"clGetKernelTunedConfigMCL", "device not in the kernel's context",
+       CL_INVALID_DEVICE,
+       [](Fix& f) {
+         const size_t global = 4096;
+         cl_tuned_config_mcl cfg;
+         cl_kernel k = f.make_kernel();
+         cl_int got = clGetKernelTunedConfigMCL(k, f.gpu, 1, &global, &cfg);
+         clReleaseKernel(k);
+         return got;
+       }},
+      {"clGetKernelTunedConfigMCL", "work_dim=0", CL_INVALID_WORK_DIMENSION,
+       [](Fix& f) {
+         const size_t global = 4096;
+         cl_tuned_config_mcl cfg;
+         cl_kernel k = f.make_kernel();
+         cl_int got = clGetKernelTunedConfigMCL(k, f.cpu, 0, &global, &cfg);
+         clReleaseKernel(k);
+         return got;
+       }},
+      {"clGetKernelTunedConfigMCL", "NULL global size",
+       CL_INVALID_GLOBAL_WORK_SIZE,
+       [](Fix& f) {
+         cl_tuned_config_mcl cfg;
+         cl_kernel k = f.make_kernel();
+         cl_int got = clGetKernelTunedConfigMCL(k, f.cpu, 1, nullptr, &cfg);
+         clReleaseKernel(k);
+         return got;
+       }},
+      {"clGetKernelTunedConfigMCL", "NULL config", CL_INVALID_VALUE,
+       [](Fix& f) {
+         const size_t global = 4096;
+         cl_kernel k = f.make_kernel();
+         cl_int got = clGetKernelTunedConfigMCL(k, f.cpu, 1, &global, nullptr);
+         clReleaseKernel(k);
+         return got;
+       }},
   };
   return kCases;
 }
@@ -683,20 +776,25 @@ TEST(ClErrorMatrix, SpecMandatedCodes) {
 // ---------------------------------------------------------------------------
 // Drift guards.
 
+// Entry points declared in CL/cl.h and CL/cl_ext_mcl.h.
 std::set<std::string> header_entry_points() {
-  std::ifstream in(MCL_CL_HEADER);
-  EXPECT_TRUE(in.is_open()) << "cannot open " << MCL_CL_HEADER;
-  std::stringstream ss;
-  ss << in.rdbuf();
-  std::string text = ss.str();
-  // Strip comments so prose mentioning entry points does not count.
-  text = std::regex_replace(text, std::regex(R"(/\*[^*]*\*+(?:[^/*][^*]*\*+)*/)"), " ");
-  text = std::regex_replace(text, std::regex(R"(//[^\n]*)"), " ");
   std::set<std::string> names;
-  std::regex decl(R"((cl[A-Z][A-Za-z0-9]*)\s*\()");
-  for (std::sregex_iterator it(text.begin(), text.end(), decl), end;
-       it != end; ++it) {
-    names.insert((*it)[1].str());
+  for (const char* header : {"cl.h", "cl_ext_mcl.h"}) {
+    const std::string path = std::string(MCL_CL_INCLUDE_DIR) + "/" + header;
+    std::ifstream in(path);
+    EXPECT_TRUE(in.is_open()) << "cannot open " << path;
+    std::stringstream ss;
+    ss << in.rdbuf();
+    std::string text = ss.str();
+    // Strip comments so prose mentioning entry points does not count.
+    text = std::regex_replace(
+        text, std::regex(R"(/\*[^*]*\*+(?:[^/*][^*]*\*+)*/)"), " ");
+    text = std::regex_replace(text, std::regex(R"(//[^\n]*)"), " ");
+    std::regex decl(R"((cl[A-Z][A-Za-z0-9]*)\s*\()");
+    for (std::sregex_iterator it(text.begin(), text.end(), decl), end;
+         it != end; ++it) {
+      names.insert((*it)[1].str());
+    }
   }
   return names;
 }
@@ -710,17 +808,17 @@ TEST(ClSurfaceDrift, HeaderMatchesSurfaceTable) {
   }
   for (const std::string& name : declared) {
     EXPECT_TRUE(expected.count(name))
-        << name << " is declared in CL/cl.h but has no surface-table row";
+        << name << " is declared in a CL header but has no surface-table row";
   }
   for (const std::string& name : expected) {
     EXPECT_TRUE(declared.count(name))
-        << name << " is in the surface table but not declared in CL/cl.h";
+        << name << " is in the surface table but not declared in a CL header";
   }
   // Unsupported rows must NOT be declared.
   for (const ClSurfaceEntry& e : cl_surface()) {
     if (e.status == ClSurfaceStatus::Unsupported) {
       EXPECT_FALSE(declared.count(e.name))
-          << e.name << " is marked Unsupported but declared in CL/cl.h";
+          << e.name << " is marked Unsupported but declared in a CL header";
     }
   }
 }

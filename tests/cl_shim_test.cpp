@@ -15,6 +15,11 @@
 #include <gtest/gtest.h>
 
 #include <CL/cl.h>
+#include <CL/cl_ext_mcl.h>
+
+#include "prof/profiler.hpp"
+
+extern "C" int mcl_cl_ext_c_smoke(void);
 
 namespace {
 
@@ -524,6 +529,156 @@ TEST(ClShim, TaskMarkerBarrierFlush) {
   clReleaseEvent(marker_ev);
   clReleaseMemObject(in_buf);
   clReleaseMemObject(out_buf);
+  clReleaseKernel(kernel);
+  clReleaseProgram(program);
+  f.destroy();
+}
+
+TEST(ClShim, ScalarArgBoundByValue) {
+  // square_coalesced's third parameter is a 4-byte uint: not pointer-sized,
+  // so clSetKernelArg must copy it as a scalar, and each work-item then
+  // squares per_item consecutive elements.
+  CtxFix f = CtxFix::create();
+  const char* src =
+      "__kernel void square_coalesced(__global const float* in, "
+      "__global float* out, uint per_item) { }";
+  cl_int err = CL_SUCCESS;
+  cl_program program =
+      clCreateProgramWithSource(f.context, 1, &src, nullptr, &err);
+  ASSERT_EQ(CL_SUCCESS, err);
+  ASSERT_EQ(CL_SUCCESS,
+            clBuildProgram(program, 0, nullptr, nullptr, nullptr, nullptr));
+  cl_kernel kernel = clCreateKernel(program, "square_coalesced", &err);
+  ASSERT_EQ(CL_SUCCESS, err);
+
+  constexpr size_t kN = 1000;
+  const cl_uint per_item = 10;
+  std::vector<float> in(kN, 3.0f), out(kN, 0.0f);
+  cl_mem in_buf =
+      clCreateBuffer(f.context, CL_MEM_READ_ONLY | CL_MEM_COPY_HOST_PTR,
+                     kN * sizeof(float), in.data(), &err);
+  ASSERT_EQ(CL_SUCCESS, err);
+  cl_mem out_buf = clCreateBuffer(f.context, CL_MEM_WRITE_ONLY,
+                                  kN * sizeof(float), nullptr, &err);
+  ASSERT_EQ(CL_SUCCESS, err);
+  ASSERT_EQ(CL_SUCCESS, clSetKernelArg(kernel, 0, sizeof(cl_mem), &in_buf));
+  ASSERT_EQ(CL_SUCCESS, clSetKernelArg(kernel, 1, sizeof(cl_mem), &out_buf));
+  ASSERT_EQ(CL_SUCCESS,
+            clSetKernelArg(kernel, 2, sizeof(per_item), &per_item));
+
+  const size_t global = kN / per_item;
+  ASSERT_EQ(CL_SUCCESS, clEnqueueNDRangeKernel(f.queue, kernel, 1, nullptr,
+                                               &global, nullptr, 0, nullptr,
+                                               nullptr));
+  ASSERT_EQ(CL_SUCCESS,
+            clEnqueueReadBuffer(f.queue, out_buf, CL_TRUE, 0,
+                                kN * sizeof(float), out.data(), 0, nullptr,
+                                nullptr));
+  for (size_t i = 0; i < kN; ++i) ASSERT_EQ(9.0f, out[i]) << "item " << i;
+
+  clReleaseMemObject(in_buf);
+  clReleaseMemObject(out_buf);
+  clReleaseKernel(kernel);
+  clReleaseProgram(program);
+  f.destroy();
+}
+
+TEST(ClShim, FailedUpstreamEventFailsDependentRead) {
+  CtxFix f = CtxFix::create(CL_QUEUE_OUT_OF_ORDER_EXEC_MODE_ENABLE);
+  cl_int err = CL_SUCCESS;
+  cl_mem buf = clCreateBuffer(f.context, CL_MEM_READ_WRITE, 64, nullptr,
+                              &err);
+  ASSERT_EQ(CL_SUCCESS, err);
+  cl_event gate = clCreateUserEvent(f.context, &err);
+  ASSERT_EQ(CL_SUCCESS, err);
+
+  std::vector<unsigned char> host(64, 0);
+  cl_event read_ev;
+  ASSERT_EQ(CL_SUCCESS,
+            clEnqueueReadBuffer(f.queue, buf, CL_FALSE, 0, 64, host.data(), 1,
+                                &gate, &read_ev));
+  ASSERT_EQ(CL_SUCCESS, clSetUserEventStatus(gate, -5));
+
+  // The failure propagates along the wait edge instead of running the read.
+  EXPECT_EQ(CL_EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST,
+            clWaitForEvents(1, &read_ev));
+  cl_int st = CL_COMPLETE;
+  ASSERT_EQ(CL_SUCCESS,
+            clGetEventInfo(read_ev, CL_EVENT_COMMAND_EXECUTION_STATUS,
+                           sizeof(st), &st, nullptr));
+  EXPECT_LT(st, 0);
+  ASSERT_EQ(CL_SUCCESS, clFinish(f.queue));
+
+  clReleaseEvent(read_ev);
+  clReleaseEvent(gate);
+  clReleaseMemObject(buf);
+  f.destroy();
+}
+
+// ---------------------------------------------------------------------------
+// MCL extensions (CL/cl_ext_mcl.h). Invalid inputs are in the error matrix.
+
+TEST(ClShimExt, PureCTranslationUnit) {
+  mcl::prof::start();
+  EXPECT_EQ(0, mcl_cl_ext_c_smoke());
+  mcl::prof::stop();
+}
+
+TEST(ClShimExt, EventKernelProfile) {
+  CtxFix f = CtxFix::create();
+  cl_program program = build_square(f.context);
+  cl_int err = CL_SUCCESS;
+  cl_kernel kernel = clCreateKernel(program, "square", &err);
+  ASSERT_EQ(CL_SUCCESS, err);
+  constexpr size_t kN = 512;
+  cl_mem buf = clCreateBuffer(f.context, CL_MEM_READ_WRITE,
+                              kN * sizeof(float), nullptr, &err);
+  ASSERT_EQ(CL_SUCCESS, err);
+  ASSERT_EQ(CL_SUCCESS, clSetKernelArg(kernel, 0, sizeof(cl_mem), &buf));
+  ASSERT_EQ(CL_SUCCESS, clSetKernelArg(kernel, 1, sizeof(cl_mem), &buf));
+
+  const size_t global = kN, local = 64;
+  cl_kernel_profile_mcl p;
+  cl_event unprofiled;
+  ASSERT_EQ(CL_SUCCESS, clEnqueueNDRangeKernel(f.queue, kernel, 1, nullptr,
+                                               &global, &local, 0, nullptr,
+                                               &unprofiled));
+  ASSERT_EQ(CL_SUCCESS, clWaitForEvents(1, &unprofiled));
+  EXPECT_EQ(CL_PROFILING_INFO_NOT_AVAILABLE,
+            clGetEventKernelProfileMCL(unprofiled, &p))
+      << "launched with no profiling session";
+
+  mcl::prof::start();
+  cl_event ev;
+  ASSERT_EQ(CL_SUCCESS, clEnqueueNDRangeKernel(f.queue, kernel, 1, nullptr,
+                                               &global, &local, 0, nullptr,
+                                               &ev));
+  ASSERT_EQ(CL_SUCCESS, clWaitForEvents(1, &ev));
+  ASSERT_EQ(CL_SUCCESS, clGetEventKernelProfileMCL(ev, &p));
+  EXPECT_GT(p.seconds, 0.0);
+  // Graceful degradation: `hardware` says whether cycles/ipc are real.
+  if (p.hardware == CL_FALSE) {
+    EXPECT_EQ(0u, p.cycles);
+    EXPECT_EQ(0.0, p.ipc);
+  } else {
+    EXPECT_GT(p.cycles, 0u);
+    EXPECT_GT(p.ipc, 0.0);
+  }
+
+  // A transfer event is not a kernel: no profile to fetch.
+  std::vector<float> host(kN);
+  cl_event read_ev;
+  ASSERT_EQ(CL_SUCCESS,
+            clEnqueueReadBuffer(f.queue, buf, CL_TRUE, 0, kN * sizeof(float),
+                                host.data(), 0, nullptr, &read_ev));
+  EXPECT_EQ(CL_PROFILING_INFO_NOT_AVAILABLE,
+            clGetEventKernelProfileMCL(read_ev, &p));
+  mcl::prof::stop();
+
+  clReleaseEvent(unprofiled);
+  clReleaseEvent(ev);
+  clReleaseEvent(read_ev);
+  clReleaseMemObject(buf);
   clReleaseKernel(kernel);
   clReleaseProgram(program);
   f.destroy();

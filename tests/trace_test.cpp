@@ -1,8 +1,9 @@
 // mcltrace tests: ring wraparound + drop accounting, concurrent writers
 // draining into one session, the zero-events-when-disabled contract, the
-// Chrome JSON / metrics exporters, the T1 drop lint, the C API entry points,
-// and the shared-epoch regression (a kernel's Running->Complete profiling
-// window must enclose its per-workgroup trace spans).
+// Chrome JSON / metrics exporters, the T1 drop lint, the clTrace*MCL
+// extension calls, and the shared-epoch regression (a kernel's
+// Running->Complete profiling window must enclose its per-workgroup trace
+// spans).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +15,8 @@
 #include <thread>
 #include <vector>
 
-#include "ocl/mcl.h"
+#include <CL/cl_ext_mcl.h>
+
 #include "ocl/queue.hpp"
 #include "san/lint.hpp"
 #include "trace/export.hpp"
@@ -184,20 +186,18 @@ TEST(TraceLint, T1FiresOnDropsOnly)  {
   EXPECT_NE(report.to_string().find("42"), std::string::npos);
 }
 
-TEST(TraceCApi, BeginEndCounterRoundTrip) {
-  EXPECT_EQ(mclTraceBegin(nullptr), MCL_INVALID_VALUE);
-  EXPECT_EQ(mclTraceEnd(nullptr), MCL_INVALID_VALUE);
-  EXPECT_EQ(mclTraceCounter(nullptr, 0.0), MCL_INVALID_VALUE);
+// NULL names are rejected in the CL error matrix (cl_errors_test).
+TEST(TraceClExt, BeginEndCounterRoundTrip) {
   // Off: success, but nothing recorded.
-  EXPECT_EQ(mclTraceBegin("capi.phase"), MCL_SUCCESS);
+  EXPECT_EQ(clTraceBeginMCL("ext.phase"), CL_SUCCESS);
   start(0);
-  EXPECT_EQ(mclTraceBegin("capi.phase"), MCL_SUCCESS);
-  EXPECT_EQ(mclTraceCounter("capi.gauge", 1.5), MCL_SUCCESS);
-  EXPECT_EQ(mclTraceEnd("capi.phase"), MCL_SUCCESS);
+  EXPECT_EQ(clTraceBeginMCL("ext.phase"), CL_SUCCESS);
+  EXPECT_EQ(clTraceCounterMCL("ext.gauge", 1.5), CL_SUCCESS);
+  EXPECT_EQ(clTraceEndMCL("ext.phase"), CL_SUCCESS);
   stop();
   const std::vector<TaggedEvent> events = collect();
   ASSERT_EQ(events.size(), 3u);
-  EXPECT_STREQ(events[0].event.name, "capi.phase");
+  EXPECT_STREQ(events[0].event.name, "ext.phase");
   EXPECT_EQ(events[0].event.type, EventType::Begin);
   EXPECT_EQ(events[2].event.type, EventType::End);
 }

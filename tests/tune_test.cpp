@@ -2,8 +2,9 @@
 // pruning), the bounded explore/exploit policy with its regression guard,
 // persistent-cache round-trip / version-mismatch / corruption / concurrent
 // writers, IR re-registration eviction, warm-cache zero-exploration, the
-// launch-path integration (results stay correct while tuning), and the C API
-// (the `tune` label is in the plain and TSan tiers).
+// launch-path integration (results stay correct while tuning), and the
+// CL/cl_ext_mcl.h tuning calls (the `tune` label is in the plain and TSan
+// tiers).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,9 +15,11 @@
 #include <thread>
 #include <vector>
 
+#include <CL/cl.h>
+#include <CL/cl_ext_mcl.h>
+
 #include "apps/matrixmul.hpp"
 #include "apps/simple.hpp"
-#include "ocl/mcl.h"
 #include "ocl/queue.hpp"
 #include "simd/vec.hpp"
 #include "tune/tune.hpp"
@@ -620,7 +623,7 @@ TEST(TuneLaunch, ExplicitExecutorConfigBypassesTuner) {
   EXPECT_EQ(t.stats().decisions, 0u);
 }
 
-// ----- env + C API ---------------------------------------------------------
+// ----- env + CL extension --------------------------------------------------
 
 TEST(TuneMode, EnvParsing) {
   ::setenv("MCL_TUNE", "seed", 1);
@@ -655,15 +658,35 @@ TEST(TuneMode, EnvVarActivatesEnabledWithoutTouchingTheSingleton) {
   ::unsetenv("MCL_TUNE");
 }
 
-TEST(TuneCApi, SetTuningAndQueryConfig) {
+TEST(TuneClExt, SetTuningAndQueryConfig) {
   TunerGuard guard;
-  EXPECT_EQ(mclSetTuning(MCL_TUNE_SEED), MCL_SUCCESS);
+  EXPECT_EQ(clSetTuningModeMCL(CL_TUNE_SEED_MCL), CL_SUCCESS);
   EXPECT_EQ(Tuner::instance().mode(), Mode::Seed);
-  EXPECT_EQ(mclSetTuning(7), MCL_INVALID_VALUE);
+  EXPECT_EQ(clSetTuningModeMCL(7), CL_INVALID_VALUE);
+  EXPECT_EQ(Tuner::instance().mode(), Mode::Seed);
+
+  cl_platform_id platform = nullptr;
+  cl_device_id device = nullptr;
+  ASSERT_EQ(clGetPlatformIDs(1, &platform, nullptr), CL_SUCCESS);
+  ASSERT_EQ(clGetDeviceIDs(platform, CL_DEVICE_TYPE_CPU, 1, &device, nullptr),
+            CL_SUCCESS);
+  cl_int err = CL_SUCCESS;
+  cl_context ctx = clCreateContext(nullptr, 1, &device, nullptr, nullptr, &err);
+  ASSERT_EQ(err, CL_SUCCESS);
+  const char* src =
+      "__kernel void square(__global const float* in, __global float* out) "
+      "{ }";
+  cl_program program = clCreateProgramWithSource(ctx, 1, &src, nullptr, &err);
+  ASSERT_EQ(err, CL_SUCCESS);
+  ASSERT_EQ(clBuildProgram(program, 0, nullptr, nullptr, nullptr, nullptr),
+            CL_SUCCESS);
+  cl_kernel kernel = clCreateKernel(program, "square", &err);
+  ASSERT_EQ(err, CL_SUCCESS);
 
   const std::size_t global[1] = {4096};
-  mcl_tuned_config cfg{};
-  EXPECT_EQ(mclGetTunedConfig("square", 1, global, &cfg), MCL_SUCCESS);
+  cl_tuned_config_mcl cfg{};
+  ASSERT_EQ(clGetKernelTunedConfigMCL(kernel, device, 1, global, &cfg),
+            CL_SUCCESS);
   EXPECT_GT(cfg.chunk_divisor, 0u);
   EXPECT_GE(cfg.executor, 0);
   EXPECT_LE(cfg.executor, 3);
@@ -672,11 +695,24 @@ TEST(TuneCApi, SetTuningAndQueryConfig) {
     EXPECT_EQ(global[0] % cfg.local_size[0], 0u);
   }
 
-  EXPECT_EQ(mclGetTunedConfig("no.such.kernel", 1, global, &cfg),
-            MCL_INVALID_KERNEL_NAME);
-  EXPECT_EQ(mclGetTunedConfig("square", 0, global, &cfg), MCL_INVALID_VALUE);
-  EXPECT_EQ(mclGetTunedConfig("square", 1, nullptr, &cfg), MCL_INVALID_VALUE);
-  EXPECT_EQ(mclSetTuning(MCL_TUNE_OFF), MCL_SUCCESS);
+  // The query is keyed on the device's compute units, like the launch path.
+  cl_uint units = 0;
+  ASSERT_EQ(clGetDeviceInfo(device, CL_DEVICE_MAX_COMPUTE_UNITS, sizeof(units),
+                            &units, nullptr),
+            CL_SUCCESS);
+  const std::optional<TunedConfig> want = Tuner::instance().tuned_config(
+      ocl::Program::builtin().lookup("square"), ocl::NDRange{global[0]},
+      ocl::NDRange{}, false, units);
+  ASSERT_TRUE(want.has_value());
+  EXPECT_EQ(cfg.chunk_divisor, want->chunk_divisor);
+  EXPECT_EQ(cfg.work_dim, want->local.dims);
+  EXPECT_EQ(cfg.prefer_map == CL_TRUE, want->prefer_map);
+
+  EXPECT_EQ(clSetTuningModeMCL(CL_TUNE_OFF_MCL), CL_SUCCESS);
+  EXPECT_EQ(Tuner::instance().mode(), Mode::Off);
+  clReleaseKernel(kernel);
+  clReleaseProgram(program);
+  clReleaseContext(ctx);
 }
 
 // ----- multi-tenant sharing (mclserve integration) -------------------------

@@ -728,6 +728,8 @@ CONFORM_KNOWN_TESTS = (
     "subdevice_test",
     "conformance_hello_opencl",
     "conformance_parallel_min",
+    "trace_test",
+    "tune_test",
 )
 
 

@@ -25,7 +25,10 @@
 #      that mclstat renders the report and the `.mclobs` snapshot,
 #      plus a fixed-seed ablation_tuning smoke whose BENCH_tune.json output
 #      is schema-checked (tuned >= paper-default within noise, bounded
-#      online convergence);
+#      online convergence),
+#      plus the benchmark self-test (perfbench/selftest.py: every mclperf
+#      workload must pass clean and catch one deliberately corrupted
+#      output);
 #   2. ASan+UBSan build (-DMCL_SANITIZE=address,undefined) + full ctest suite;
 #   3. TSan build (-DMCL_SANITIZE=thread) running the `threading` + `queue` +
 #      `trace` + `prof` + `serve` + `tune` + `subdev` labels — the
@@ -110,6 +113,12 @@ echo "== tier1: mcltune ablation smoke (fixed seed) =="
 ./build/bench/ablation_tuning --quick --seed 42 \
   --json build/BENCH_tune_smoke.json
 tools/plot_results.py --check build/BENCH_tune_smoke.json
+
+echo "== tier1: benchmark output-check self-test =="
+# Builds mclperf from this checkout (into .bench_build) and fails if a
+# runtime change stops launch-storm, paper-suite or serve-mix from catching
+# a corrupted output.
+python3 perfbench/selftest.py
 
 echo "== tier1: ASan+UBSan build =="
 cmake -B build-asan -S . -DMCL_SANITIZE=address,undefined
