@@ -14,9 +14,6 @@
 //    and a build log naming any kernel that has no registered implementation.
 //  - CL_KERNEL_NUM_ARGS reports the currently-bound argument count (the
 //    descriptor table does not record arity).
-//  - The rect transfer and map commands execute synchronously after their
-//    wait list resolves (legal: enqueue may be eager), so their events carry
-//    marker timestamps.
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
@@ -356,18 +353,21 @@ void attach_event(cl_event* out, mocl::AsyncEventPtr ev, cl_command_queue q,
   *out = handle;
 }
 
-/// Synchronously resolves a wait list (for the commands the shim executes
-/// eagerly: rect transfers and maps). A failed dependency poisons the
-/// command, per clEnqueue* wait-list semantics.
-cl_int resolve_wait_list(const std::vector<mocl::AsyncEventPtr>& wait) {
-  for (const mocl::AsyncEventPtr& ev : wait) {
-    try {
-      ev->wait();
-    } catch (...) {
-      return CL_EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST;
-    }
+/// Waits for a command's node the way clWaitForEvents does: any failure —
+/// the command's own or a failed wait-list event propagated to it — is
+/// CL_EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST. The blocking enqueue calls
+/// return this code (OpenCL 1.1 §5.2.2, §5.4.2).
+cl_int wait_node(const mocl::AsyncEvent& ev) {
+  try {
+    ev.wait();
+  } catch (...) {
+    return CL_EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST;
   }
   return CL_SUCCESS;
+}
+
+mocl::Blocking blocking_of(cl_bool flag) {
+  return flag == CL_TRUE ? mocl::Blocking::Yes : mocl::Blocking::No;
 }
 
 constexpr cl_mem_flags kAccessFlags =
@@ -1458,9 +1458,7 @@ cl_int clWaitForEvents(cl_uint num_events, const cl_event* event_list) {
   }
   cl_int result = CL_SUCCESS;
   for (cl_uint i = 0; i < num_events; ++i) {
-    try {
-      event_list[i]->event->wait();
-    } catch (...) {
+    if (wait_node(*event_list[i]->event) != CL_SUCCESS) {
       result = CL_EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST;
     }
   }
@@ -1614,13 +1612,10 @@ cl_int clEnqueueReadBuffer(cl_command_queue command_queue, cl_mem buffer,
   if (err != CL_SUCCESS) return err;
   return guarded([&] {
     mocl::AsyncEventPtr ev = command_queue->queue->enqueue_read_buffer_async(
-        *buffer->buffer, offset, size, ptr, std::move(wait));
+        *buffer->buffer, offset, size, ptr, std::move(wait),
+        blocking_of(blocking_read));
     if (blocking_read == CL_TRUE) {
-      try {
-        ev->wait();
-      } catch (const mcore::Error& e) {
-        return cl_code(e.status());
-      }
+      if (const cl_int rc = wait_node(*ev); rc != CL_SUCCESS) return rc;
     }
     attach_event(event, std::move(ev), command_queue, CL_COMMAND_READ_BUFFER);
     return CL_SUCCESS;
@@ -1641,13 +1636,10 @@ cl_int clEnqueueWriteBuffer(cl_command_queue command_queue, cl_mem buffer,
   if (err != CL_SUCCESS) return err;
   return guarded([&] {
     mocl::AsyncEventPtr ev = command_queue->queue->enqueue_write_buffer_async(
-        *buffer->buffer, offset, size, ptr, std::move(wait));
+        *buffer->buffer, offset, size, ptr, std::move(wait),
+        blocking_of(blocking_write));
     if (blocking_write == CL_TRUE) {
-      try {
-        ev->wait();
-      } catch (const mcore::Error& e) {
-        return cl_code(e.status());
-      }
+      if (const cl_int rc = wait_node(*ev); rc != CL_SUCCESS) return rc;
     }
     attach_event(event, std::move(ev), command_queue, CL_COMMAND_WRITE_BUFFER);
     return CL_SUCCESS;
@@ -1656,13 +1648,12 @@ cl_int clEnqueueWriteBuffer(cl_command_queue command_queue, cl_mem buffer,
 
 namespace {
 
-/// Shared body of the rect transfers: they resolve their wait list, run
-/// synchronously, and hand back a marker event.
+/// Shared body of the rect transfers.
 cl_int enqueue_rect(cl_command_queue q, cl_mem buffer, bool is_read,
-                    const size_t* buffer_origin, const size_t* host_origin,
-                    const size_t* region, size_t buffer_row_pitch,
-                    size_t buffer_slice_pitch, size_t host_row_pitch,
-                    size_t host_slice_pitch, void* ptr,
+                    cl_bool blocking, const size_t* buffer_origin,
+                    const size_t* host_origin, const size_t* region,
+                    size_t buffer_row_pitch, size_t buffer_slice_pitch,
+                    size_t host_row_pitch, size_t host_slice_pitch, void* ptr,
                     cl_uint num_events_in_wait_list,
                     const cl_event* event_wait_list, cl_event* event) {
   if (q == nullptr) return CL_INVALID_COMMAND_QUEUE;
@@ -1677,8 +1668,6 @@ cl_int enqueue_rect(cl_command_queue q, cl_mem buffer, bool is_read,
   cl_int err = gather_wait_list(num_events_in_wait_list, event_wait_list,
                                 &wait);
   if (err != CL_SUCCESS) return err;
-  err = resolve_wait_list(wait);
-  if (err != CL_SUCCESS) return err;
   return guarded([&] {
     mocl::BufferRect brect;
     mocl::BufferRect hrect;
@@ -1692,16 +1681,19 @@ cl_int enqueue_rect(cl_command_queue q, cl_mem buffer, bool is_read,
     brect.slice_pitch = buffer_slice_pitch;
     hrect.row_pitch = host_row_pitch;
     hrect.slice_pitch = host_slice_pitch;
-    if (is_read) {
-      q->queue->enqueue_read_buffer_rect(*buffer->buffer, brect, hrect, ptr);
-    } else {
-      q->queue->enqueue_write_buffer_rect(*buffer->buffer, brect, hrect, ptr);
+    mocl::AsyncEventPtr ev =
+        is_read ? q->queue->enqueue_read_buffer_rect_async(
+                      *buffer->buffer, brect, hrect, ptr, std::move(wait),
+                      blocking_of(blocking))
+                : q->queue->enqueue_write_buffer_rect_async(
+                      *buffer->buffer, brect, hrect, ptr, std::move(wait),
+                      blocking_of(blocking));
+    if (blocking == CL_TRUE) {
+      if (const cl_int rc = wait_node(*ev); rc != CL_SUCCESS) return rc;
     }
-    if (event != nullptr) {
-      attach_event(event, q->queue->enqueue_marker_async(), q,
-                   is_read ? CL_COMMAND_READ_BUFFER_RECT
-                           : CL_COMMAND_WRITE_BUFFER_RECT);
-    }
+    attach_event(event, std::move(ev), q,
+                 is_read ? CL_COMMAND_READ_BUFFER_RECT
+                         : CL_COMMAND_WRITE_BUFFER_RECT);
     return CL_SUCCESS;
   });
 }
@@ -1718,9 +1710,8 @@ cl_int clEnqueueReadBufferRect(cl_command_queue command_queue, cl_mem buffer,
                                void* ptr, cl_uint num_events_in_wait_list,
                                const cl_event* event_wait_list,
                                cl_event* event) {
-  (void)blocking_read;  // executed synchronously either way
-  return enqueue_rect(command_queue, buffer, /*is_read=*/true, buffer_origin,
-                      host_origin, region, buffer_row_pitch,
+  return enqueue_rect(command_queue, buffer, /*is_read=*/true, blocking_read,
+                      buffer_origin, host_origin, region, buffer_row_pitch,
                       buffer_slice_pitch, host_row_pitch, host_slice_pitch,
                       ptr, num_events_in_wait_list, event_wait_list, event);
 }
@@ -1736,9 +1727,8 @@ cl_int clEnqueueWriteBufferRect(cl_command_queue command_queue, cl_mem buffer,
                                 cl_uint num_events_in_wait_list,
                                 const cl_event* event_wait_list,
                                 cl_event* event) {
-  (void)blocking_write;
-  return enqueue_rect(command_queue, buffer, /*is_read=*/false, buffer_origin,
-                      host_origin, region, buffer_row_pitch,
+  return enqueue_rect(command_queue, buffer, /*is_read=*/false, blocking_write,
+                      buffer_origin, host_origin, region, buffer_row_pitch,
                       buffer_slice_pitch, host_row_pitch, host_slice_pitch,
                       const_cast<void*>(ptr), num_events_in_wait_list,
                       event_wait_list, event);
@@ -1787,7 +1777,6 @@ void* clEnqueueMapBuffer(cl_command_queue command_queue, cl_mem buffer,
                          cl_uint num_events_in_wait_list,
                          const cl_event* event_wait_list, cl_event* event,
                          cl_int* errcode_ret) {
-  (void)blocking_map;  // the map itself is synchronous
   if (command_queue == nullptr) {
     set_err(errcode_ret, CL_INVALID_COMMAND_QUEUE);
     return nullptr;
@@ -1807,7 +1796,6 @@ void* clEnqueueMapBuffer(cl_command_queue command_queue, cl_mem buffer,
   std::vector<mocl::AsyncEventPtr> wait;
   cl_int err = gather_wait_list(num_events_in_wait_list, event_wait_list,
                                 &wait);
-  if (err == CL_SUCCESS) err = resolve_wait_list(wait);
   if (err != CL_SUCCESS) {
     set_err(errcode_ret, err);
     return nullptr;
@@ -1817,24 +1805,23 @@ void* clEnqueueMapBuffer(cl_command_queue command_queue, cl_mem buffer,
           ? mocl::MapFlags::Read
           : map_flags == CL_MAP_WRITE ? mocl::MapFlags::Write
                                       : mocl::MapFlags::ReadWrite;
-  try {
-    void* p = command_queue->queue->enqueue_map_buffer(*buffer->buffer, mf,
-                                                       offset, size);
-    if (event != nullptr) {
-      attach_event(event, command_queue->queue->enqueue_marker_async(),
-                   command_queue, CL_COMMAND_MAP_BUFFER);
+  void* p = nullptr;
+  err = guarded([&] {
+    mocl::Mapping m = command_queue->queue->enqueue_map_buffer_async(
+        *buffer->buffer, mf, offset, size, std::move(wait));
+    if (blocking_map == CL_TRUE) {
+      if (const cl_int rc = wait_node(*m.event); rc != CL_SUCCESS) {
+        (void)buffer->buffer->note_unmapped();  // the map never happened
+        return rc;
+      }
     }
-    set_err(errcode_ret, CL_SUCCESS);
-    return p;
-  } catch (const mcore::Error& e) {
-    set_err(errcode_ret, e.status() == Status::MapFailure
-                             ? CL_MAP_FAILURE
-                             : cl_code(e.status()));
-    return nullptr;
-  } catch (...) {
-    set_err(errcode_ret, CL_OUT_OF_HOST_MEMORY);
-    return nullptr;
-  }
+    attach_event(event, std::move(m.event), command_queue,
+                 CL_COMMAND_MAP_BUFFER);
+    p = m.ptr;
+    return CL_SUCCESS;
+  });
+  set_err(errcode_ret, err);
+  return p;
 }
 
 cl_int clEnqueueUnmapMemObject(cl_command_queue command_queue, cl_mem memobj,
@@ -1849,14 +1836,12 @@ cl_int clEnqueueUnmapMemObject(cl_command_queue command_queue, cl_mem memobj,
   std::vector<mocl::AsyncEventPtr> wait;
   cl_int err = gather_wait_list(num_events_in_wait_list, event_wait_list,
                                 &wait);
-  if (err == CL_SUCCESS) err = resolve_wait_list(wait);
   if (err != CL_SUCCESS) return err;
   cl_int rc = guarded([&] {
-    command_queue->queue->enqueue_unmap(*memobj->buffer, mapped_ptr);
-    if (event != nullptr) {
-      attach_event(event, command_queue->queue->enqueue_marker_async(),
-                   command_queue, CL_COMMAND_UNMAP_MEM_OBJECT);
-    }
+    attach_event(event,
+                 command_queue->queue->enqueue_unmap_async(
+                     *memobj->buffer, mapped_ptr, std::move(wait)),
+                 command_queue, CL_COMMAND_UNMAP_MEM_OBJECT);
     return CL_SUCCESS;
   });
   // The runtime reports an unknown mapped_ptr as a map failure; at this

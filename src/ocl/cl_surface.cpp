@@ -66,7 +66,8 @@ constexpr ClSurfaceEntry kSurface[] = {
     {"clEnqueueCopyBuffer", S::Implemented, kMatrixShim,
      "device-side copy; overlapping regions rejected"},
     {"clEnqueueMapBuffer", S::Implemented, kMatrixHello,
-     "returns the canonical pointer (zero-copy, the paper's Fig 7/8 point)"},
+     "returns the canonical pointer, computed at enqueue (zero-copy, the "
+     "paper's Fig 7/8 point); an event-graph node, blocking or not"},
     {"clEnqueueMarker", S::Implemented, kMatrixShim,
      "timestamped no-op event"},
     {"clEnqueueNDRangeKernel", S::Implemented, kCore,
@@ -76,17 +77,19 @@ constexpr ClSurfaceEntry kSurface[] = {
     {"clEnqueueReadBuffer", S::Implemented, kCore,
      "blocking and non-blocking; event-graph executor under the hood"},
     {"clEnqueueReadBufferRect", S::Implemented, kMatrixShim,
-     "strided 3D buffer -> host copies"},
+     "strided 3D buffer -> host copies; blocking or not, an event-graph "
+     "node"},
     {"clEnqueueTask", S::Implemented, kMatrixShim,
      "single work-item clEnqueueNDRangeKernel"},
     {"clEnqueueUnmapMemObject", S::Implemented, kMatrixHello,
-     "decrements the map count; no copy"},
+     "decrements the map count at enqueue; no copy; an event-graph node"},
     {"clEnqueueWaitForEvents", S::Implemented, kMatrix,
      "in-order wait-list barrier (deprecated 1.1 API kept for compatibility)"},
     {"clEnqueueWriteBuffer", S::Implemented, kCore,
      "blocking and non-blocking host -> buffer copies"},
     {"clEnqueueWriteBufferRect", S::Implemented, kMatrixShim,
-     "strided 3D host -> buffer copies"},
+     "strided 3D host -> buffer copies; blocking or not, an event-graph "
+     "node"},
     {"clFinish", S::Implemented, kCore,
      "drains the queue's event graph (transitively through callbacks)"},
     {"clFlush", S::Implemented, kMatrixShim,

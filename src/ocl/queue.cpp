@@ -13,6 +13,11 @@
 
 namespace mcl::ocl {
 
+struct Command {
+  CommandType type = CommandType::Marker;
+  std::function<Event()> body;
+};
+
 namespace {
 
 // Profiling timestamps and trace spans share core::steady_now_ns so both
@@ -52,7 +57,7 @@ std::size_t checked_mul(std::size_t a, std::size_t b) {
   return r;
 }
 
-/// Registry counters shared by the blocking and async transfer paths.
+/// Registry counters of the linear transfer and fill bodies.
 void note_transfer(std::size_t bytes) {
   MCL_PROF_COUNT("cq.transfers", 1);
   MCL_PROF_HIST("cq.transfer_bytes", bytes);
@@ -68,94 +73,12 @@ core::Status status_of(const std::exception_ptr& error) noexcept {
   }
 }
 
-}  // namespace
-
-void CommandQueue::check_range(const Buffer& buffer, std::size_t offset,
-                               std::size_t bytes) const {
+void check_range(const Buffer& buffer, std::size_t offset, std::size_t bytes) {
   // Overflow-safe form: `offset + bytes <= size` wraps for huge offsets and
   // would wave an out-of-bounds range through.
   core::check(bytes <= buffer.size() && offset <= buffer.size() - bytes,
-              core::Status::InvalidValue,
-              "transfer range exceeds buffer size");
+              core::Status::InvalidValue, "transfer range exceeds buffer size");
 }
-
-Event CommandQueue::enqueue_write_buffer(Buffer& buffer, std::size_t offset,
-                                         std::size_t bytes, const void* src) {
-  // Validate before the zero-byte shortcut: an out-of-range offset or null
-  // pointer is an API error regardless of transfer size.
-  check_range(buffer, offset, bytes);
-  core::check(src != nullptr, core::Status::InvalidValue, "null source");
-  if (bytes == 0) return Event{CommandType::WriteBuffer, 0.0, {}};
-  MCL_TRACE_SCOPE("cq.write", "bytes", bytes);
-  note_transfer(bytes);
-  Event ev{CommandType::WriteBuffer, 0.0, {}};
-  const core::TimePoint t0 = core::now();
-  std::memcpy(static_cast<std::byte*>(buffer.device_ptr()) + offset, src, bytes);
-  ev.seconds = core::elapsed_s(t0, core::now()) +
-               device_->copy_overhead_seconds(bytes);
-  return ev;
-}
-
-Event CommandQueue::enqueue_read_buffer(const Buffer& buffer, std::size_t offset,
-                                        std::size_t bytes, void* dst) {
-  check_range(buffer, offset, bytes);
-  core::check(dst != nullptr, core::Status::InvalidValue, "null destination");
-  if (bytes == 0) return Event{CommandType::ReadBuffer, 0.0, {}};
-  MCL_TRACE_SCOPE("cq.read", "bytes", bytes);
-  note_transfer(bytes);
-  Event ev{CommandType::ReadBuffer, 0.0, {}};
-  const core::TimePoint t0 = core::now();
-  std::memcpy(dst, static_cast<const std::byte*>(buffer.device_ptr()) + offset,
-              bytes);
-  ev.seconds = core::elapsed_s(t0, core::now()) +
-               device_->copy_overhead_seconds(bytes);
-  return ev;
-}
-
-Event CommandQueue::enqueue_copy_buffer(const Buffer& src, Buffer& dst,
-                                        std::size_t src_offset,
-                                        std::size_t dst_offset,
-                                        std::size_t bytes) {
-  check_range(src, src_offset, bytes);
-  check_range(dst, dst_offset, bytes);
-  if (bytes == 0) return Event{CommandType::CopyBuffer, 0.0, {}};
-  const auto* s = static_cast<const std::byte*>(src.device_ptr()) + src_offset;
-  auto* d = static_cast<std::byte*>(dst.device_ptr()) + dst_offset;
-  core::check(s + bytes <= d || d + bytes <= s, core::Status::InvalidValue,
-              "copy regions overlap");
-  MCL_TRACE_SCOPE("cq.copy", "bytes", bytes);
-  note_transfer(bytes);
-  Event ev{CommandType::CopyBuffer, 0.0, {}};
-  const core::TimePoint t0 = core::now();
-  std::memcpy(d, s, bytes);
-  ev.seconds = core::elapsed_s(t0, core::now());
-  return ev;
-}
-
-Event CommandQueue::enqueue_fill_buffer(Buffer& buffer, const void* pattern,
-                                        std::size_t pattern_bytes,
-                                        std::size_t offset, std::size_t bytes) {
-  core::check(pattern != nullptr && pattern_bytes > 0,
-              core::Status::InvalidValue, "null/empty fill pattern");
-  core::check(bytes % pattern_bytes == 0, core::Status::InvalidValue,
-              "fill size must be a multiple of the pattern size");
-  core::check(offset % pattern_bytes == 0, core::Status::InvalidValue,
-              "fill offset must be a multiple of the pattern size");
-  check_range(buffer, offset, bytes);
-  if (bytes == 0) return Event{CommandType::FillBuffer, 0.0, {}};
-  MCL_TRACE_SCOPE("cq.fill", "bytes", bytes);
-  note_transfer(bytes);
-  Event ev{CommandType::FillBuffer, 0.0, {}};
-  const core::TimePoint t0 = core::now();
-  auto* d = static_cast<std::byte*>(buffer.device_ptr()) + offset;
-  for (std::size_t i = 0; i < bytes; i += pattern_bytes) {
-    std::memcpy(d + i, pattern, pattern_bytes);
-  }
-  ev.seconds = core::elapsed_s(t0, core::now());
-  return ev;
-}
-
-namespace {
 
 struct ResolvedRect {
   std::size_t row_pitch, slice_pitch;
@@ -194,125 +117,7 @@ std::size_t rect_end(const BufferRect& r, const ResolvedRect& rr) {
       r.region[0]);
 }
 
-void copy_rect(const BufferRect& dst_r, std::byte* dst,
-               const BufferRect& src_r, const std::byte* src) {
-  core::check(dst_r.region[0] == src_r.region[0] &&
-                  dst_r.region[1] == src_r.region[1] &&
-                  dst_r.region[2] == src_r.region[2],
-              core::Status::InvalidValue, "rect regions differ");
-  const ResolvedRect rd = resolve(dst_r);
-  const ResolvedRect rs = resolve(src_r);
-  for (std::size_t z = 0; z < dst_r.region[2]; ++z) {
-    for (std::size_t y = 0; y < dst_r.region[1]; ++y) {
-      std::memcpy(dst + rect_offset(dst_r, rd, y, z),
-                  src + rect_offset(src_r, rs, y, z), dst_r.region[0]);
-    }
-  }
-}
-
 }  // namespace
-
-Event CommandQueue::enqueue_write_buffer_rect(Buffer& buffer,
-                                              const BufferRect& buffer_rect,
-                                              const BufferRect& host_rect,
-                                              const void* src) {
-  core::check(src != nullptr, core::Status::InvalidValue, "null source");
-  core::check(rect_end(buffer_rect, resolve(buffer_rect)) <= buffer.size(),
-              core::Status::InvalidValue, "rect exceeds buffer size");
-  (void)rect_end(host_rect, resolve(host_rect));  // overflow audit only
-  MCL_TRACE_SCOPE("cq.write_rect", "bytes",
-                  buffer_rect.region[0] * buffer_rect.region[1] *
-                      buffer_rect.region[2]);
-  Event ev{CommandType::WriteBufferRect, 0.0, {}};
-  const core::TimePoint t0 = core::now();
-  copy_rect(buffer_rect, static_cast<std::byte*>(buffer.device_ptr()),
-            host_rect, static_cast<const std::byte*>(src));
-  ev.seconds = core::elapsed_s(t0, core::now());
-  return ev;
-}
-
-Event CommandQueue::enqueue_read_buffer_rect(const Buffer& buffer,
-                                             const BufferRect& buffer_rect,
-                                             const BufferRect& host_rect,
-                                             void* dst) {
-  core::check(dst != nullptr, core::Status::InvalidValue, "null destination");
-  core::check(rect_end(buffer_rect, resolve(buffer_rect)) <= buffer.size(),
-              core::Status::InvalidValue, "rect exceeds buffer size");
-  (void)rect_end(host_rect, resolve(host_rect));  // overflow audit only
-  MCL_TRACE_SCOPE("cq.read_rect", "bytes",
-                  buffer_rect.region[0] * buffer_rect.region[1] *
-                      buffer_rect.region[2]);
-  Event ev{CommandType::ReadBufferRect, 0.0, {}};
-  const core::TimePoint t0 = core::now();
-  copy_rect(host_rect, static_cast<std::byte*>(dst), buffer_rect,
-            static_cast<const std::byte*>(buffer.device_ptr()));
-  ev.seconds = core::elapsed_s(t0, core::now());
-  return ev;
-}
-
-void* CommandQueue::enqueue_map_buffer(Buffer& buffer, MapFlags flags,
-                                       std::size_t offset, std::size_t bytes,
-                                       Event* event) {
-  (void)flags;  // recorded semantics only; all mappings are coherent here
-  check_range(buffer, offset, bytes);
-  MCL_TRACE_SCOPE("cq.map", "bytes", bytes);
-  const core::TimePoint t0 = core::now();
-  void* ptr = static_cast<std::byte*>(buffer.device_ptr()) + offset;
-  buffer.note_mapped();
-  if (event != nullptr) {
-    *event = Event{CommandType::MapBuffer,
-                   core::elapsed_s(t0, core::now()) +
-                       device_->map_overhead_seconds(buffer, bytes),
-                   {}};
-  }
-  return ptr;
-}
-
-Event CommandQueue::enqueue_unmap(Buffer& buffer, void* mapped_ptr) {
-  const auto* base = static_cast<const std::byte*>(buffer.device_ptr());
-  const auto* p = static_cast<const std::byte*>(mapped_ptr);
-  core::check(p >= base && p < base + buffer.size(), core::Status::MapFailure,
-              "unmap pointer does not belong to this buffer");
-  core::check(buffer.note_unmapped(), core::Status::MapFailure,
-              "buffer is not mapped");
-  MCL_TRACE_INSTANT("cq.unmap");
-  return Event{CommandType::UnmapBuffer, 0.0, {}};
-}
-
-Event CommandQueue::enqueue_ndrange(const Kernel& kernel, const NDRange& global,
-                                    const NDRange& local,
-                                    const NDRange& offset) {
-  trace::ScopedSpan span(
-      trace::enabled() ? trace::intern("cq.kernel:" + kernel.def().name)
-                       : nullptr,
-      "global,local", global.total(), local.is_null() ? 0 : local.total());
-  MCL_PROF_COUNT("cq.kernel_launches", 1);
-  Event ev{CommandType::NDRangeKernel, 0.0, {}};
-  ev.launch =
-      device_->launch(kernel.def(), kernel.args(), global, local, offset);
-  ev.seconds = ev.launch.seconds;
-  return ev;
-}
-
-Event CommandQueue::enqueue_ndrange_pinned(const Kernel& kernel,
-                                           const NDRange& global,
-                                           const NDRange& local,
-                                           std::span<const int> group_to_cpu) {
-  auto* cpu = dynamic_cast<CpuDevice*>(device_);
-  core::check(cpu != nullptr, core::Status::InvalidOperation,
-              "pinned launches are a CPU-device extension");
-  trace::ScopedSpan span(
-      trace::enabled() ? trace::intern("cq.kernel_pinned:" + kernel.def().name)
-                       : nullptr,
-      "global,local", global.total(), local.is_null() ? 0 : local.total());
-  MCL_PROF_COUNT("cq.kernel_launches", 1);
-  Event ev{CommandType::NDRangeKernel, 0.0, {}};
-  ev.launch =
-      cpu->launch_pinned(kernel.def(), kernel.args(), global, local, group_to_cpu);
-  ev.seconds = ev.launch.seconds;
-  return ev;
-}
-
 
 // --- async event ----------------------------------------------------------------
 
@@ -337,8 +142,9 @@ bool AsyncEvent::complete() const {
 }
 
 Event AsyncEvent::result() const {
-  wait();
-  std::lock_guard lock(mutex_);
+  std::unique_lock lock(mutex_);
+  cv_.wait(lock, [this] { return finished_locked(); });
+  if (error_) std::rethrow_exception(error_);
   return event_;
 }
 
@@ -484,30 +290,29 @@ void CommandQueue::note_callback_done() {
   drained_cv_.notify_all();
 }
 
-AsyncEventPtr CommandQueue::submit_async(CommandType type,
-                                         std::function<Event()> command,
-                                         std::vector<AsyncEventPtr> wait_list,
-                                         bool gather_outstanding,
-                                         bool install_barrier) {
+AsyncEventPtr CommandQueue::submit(Command command,
+                                   std::vector<AsyncEventPtr> wait_list,
+                                   Blocking blocking, bool gather_outstanding,
+                                   bool install_barrier) {
   auto ev = std::make_shared<AsyncEvent>();
-  ev->type_ = type;
+  ev->type_ = command.type;
   ev->queue_ = this;  // written before publication; read-only afterwards
-  ev->work_ = std::move(command);
+  ev->work_ = std::move(command.body);
   ev->prof_.queued_ns = now_ns();
   // Causal attribution: inherit the enqueuing thread's context (mclserve
   // sets one around forward()), minting a fresh anonymous id for direct
   // enqueues. One relaxed load when observability is off.
   if (obs::enabled()) ev->ctx_ = obs::ensure_context();
-  MCL_PROF_COUNT("cq.async_commands", 1);
+  MCL_PROF_COUNT("cq.commands", 1);
 
   // Edges: explicit wait-list dependencies propagate failure; implicit
-  // ordering edges (in-order chain, barriers, marker gathering) only order.
+  // ordering edges (in-order chain, barriers, marker gathering) only order,
+  // so one to an already finished command is skipped.
   struct Edge {
     AsyncEventPtr dep;
     bool propagate_failure;
   };
   std::vector<Edge> edges;
-  edges.reserve(wait_list.size() + 1);
   for (AsyncEventPtr& w : wait_list) {
     if (w) edges.push_back({std::move(w), true});
   }
@@ -515,7 +320,7 @@ AsyncEventPtr CommandQueue::submit_async(CommandType type,
     std::lock_guard lock(mutex_);
     ++outstanding_;
     if (!out_of_order()) {
-      if (last_) edges.push_back({last_, false});
+      if (last_ && !last_->complete()) edges.push_back({last_, false});
       last_ = ev;
     } else {
       if (gather_outstanding) {
@@ -525,7 +330,7 @@ AsyncEventPtr CommandQueue::submit_async(CommandType type,
             edges.push_back({std::move(dep), false});
           }
         }
-      } else if (barrier_) {
+      } else if (barrier_ && !barrier_->complete()) {
         edges.push_back({barrier_, false});
       }
       if (install_barrier) barrier_ = ev;
@@ -555,12 +360,21 @@ AsyncEventPtr CommandQueue::submit_async(CommandType type,
       resolve_dep(ev, propagate ? edge.dep->status() : core::Status::Success);
     }
   }
-  resolve_dep(ev, core::Status::Success);
+  // Releasing the sentinel makes the node ready only if every edge already
+  // resolved: the node is ready at submission. Such a node runs right here
+  // when the caller is about to wait on it anyway, or when its body is host
+  // bookkeeping that a pool hand-off would only slow down. A node that
+  // becomes ready later, inside some dependency's completion, always goes
+  // to the pool.
+  const bool run_inline = blocking == Blocking::Yes ||
+                          ev->type_ == CommandType::MapBuffer ||
+                          ev->type_ == CommandType::UnmapBuffer;
+  resolve_dep(ev, core::Status::Success, run_inline);
   return ev;
 }
 
 void CommandQueue::resolve_dep(const AsyncEventPtr& ev,
-                               core::Status dep_status) {
+                               core::Status dep_status, bool run_inline) {
   bool ready = false;
   {
     std::lock_guard lock(ev->mutex_);
@@ -570,10 +384,10 @@ void CommandQueue::resolve_dep(const AsyncEventPtr& ev,
     }
     ready = (--ev->blocking_deps_ == 0);
   }
-  if (ready) launch_ready(ev);
+  if (ready) launch_ready(ev, run_inline);
 }
 
-void CommandQueue::launch_ready(const AsyncEventPtr& ev) {
+void CommandQueue::launch_ready(const AsyncEventPtr& ev, bool run_inline) {
   core::Status dep_failure = core::Status::Success;
   {
     std::lock_guard lock(ev->mutex_);
@@ -590,7 +404,11 @@ void CommandQueue::launch_ready(const AsyncEventPtr& ev) {
              dep_failure);
     return;
   }
-  executor_pool().submit([this, ev] { run_command(ev); });
+  if (run_inline) {
+    run_command(ev);
+  } else {
+    executor_pool().submit([this, ev] { run_command(ev); });
+  }
 }
 
 void CommandQueue::run_command(const AsyncEventPtr& ev) {
@@ -612,7 +430,8 @@ void CommandQueue::run_command(const AsyncEventPtr& ev) {
   } catch (...) {
     error = std::current_exception();
   }
-  finalize(ev, result, error, error ? status_of(error) : core::Status::Success);
+  finalize(ev, std::move(result), error,
+           error ? status_of(error) : core::Status::Success);
 }
 
 void CommandQueue::finalize(const AsyncEventPtr& ev, Event result,
@@ -634,7 +453,7 @@ void CommandQueue::finalize(const AsyncEventPtr& ev, Event result,
       ev->status_ = status;
     } else {
       ev->state_ = CommandState::Complete;
-      ev->event_ = result;
+      ev->event_ = std::move(result);
     }
     ev->work_ = nullptr;
     continuations = std::move(ev->continuations_);
@@ -682,119 +501,80 @@ void CommandQueue::command_retired() {
   drained_cv_.notify_all();
 }
 
-// --- async entry points ---------------------------------------------------------
+// --- commands -------------------------------------------------------------------
+//
+// Each builder validates and snapshots at enqueue time — invalid calls fail
+// fast at the call site, and the body never touches the (possibly
+// shorter-lived) Buffer object itself, only its storage, which must outlive
+// the event. Validation runs before the zero-byte shortcut so a bad offset or
+// null pointer fails the same way it does on the non-zero path. The entry
+// point submits the command as one node; the blocking forms (queue.hpp) wait
+// for that node's result.
 
-AsyncEventPtr CommandQueue::enqueue_ndrange_async(
-    const Kernel& kernel, const NDRange& global, const NDRange& local,
-    std::vector<AsyncEventPtr> wait_list, const NDRange& offset) {
-  // Snapshot the argument bindings so later set_arg calls on the caller's
-  // Kernel cannot race the in-flight command.
-  return submit_async(
-      CommandType::NDRangeKernel,
-      [this, def = &kernel.def(), args = kernel.args(), global, local,
-       offset] {
-        MCL_PROF_COUNT("cq.kernel_launches", 1);
-        Event ev{CommandType::NDRangeKernel, 0.0, {}};
-        ev.launch = device_->launch(*def, args, global, local, offset);
-        ev.seconds = ev.launch.seconds;
-        return ev;
-      },
-      std::move(wait_list));
+namespace {
+
+Command noop(CommandType type) {
+  return {type, [type] { return Event{type, 0.0, {}}; }};
 }
 
-AsyncEventPtr CommandQueue::enqueue_write_buffer_async(
-    Buffer& buffer, std::size_t offset, std::size_t bytes, const void* src,
-    std::vector<AsyncEventPtr> wait_list) {
-  // Validate and snapshot at enqueue time: invalid ranges fail fast at the
-  // call site, and the command never touches the (possibly shorter-lived)
-  // Buffer object itself — only its storage, which must outlive the event.
-  // Validation runs before the zero-byte shortcut so a bad offset or null
-  // pointer fails the same way it does on the non-zero path.
+Command write_command(const Device& device, Buffer& buffer, std::size_t offset,
+                      std::size_t bytes, const void* src) {
   check_range(buffer, offset, bytes);
   core::check(src != nullptr, core::Status::InvalidValue, "null source");
-  if (bytes == 0) {
-    return submit_async(
-        CommandType::WriteBuffer,
-        [] { return Event{CommandType::WriteBuffer, 0.0, {}}; },
-        std::move(wait_list));
-  }
+  if (bytes == 0) return noop(CommandType::WriteBuffer);
   auto* dst = static_cast<std::byte*>(buffer.device_ptr()) + offset;
-  return submit_async(
-      CommandType::WriteBuffer,
-      [this, dst, bytes, src] {
-        MCL_TRACE_SCOPE("cq.write", "bytes", bytes);
-        note_transfer(bytes);
-        Event ev{CommandType::WriteBuffer, 0.0, {}};
-        const core::TimePoint t0 = core::now();
-        std::memcpy(dst, src, bytes);
-        ev.seconds = core::elapsed_s(t0, core::now()) +
-                     device_->copy_overhead_seconds(bytes);
-        return ev;
-      },
-      std::move(wait_list));
+  return {CommandType::WriteBuffer, [&device, dst, bytes, src] {
+            MCL_TRACE_SCOPE("cq.write", "bytes", bytes);
+            note_transfer(bytes);
+            const core::TimePoint t0 = core::now();
+            std::memcpy(dst, src, bytes);
+            return Event{CommandType::WriteBuffer,
+                         core::elapsed_s(t0, core::now()) +
+                             device.copy_overhead_seconds(bytes),
+                         {}};
+          }};
 }
 
-AsyncEventPtr CommandQueue::enqueue_read_buffer_async(
-    const Buffer& buffer, std::size_t offset, std::size_t bytes, void* dst,
-    std::vector<AsyncEventPtr> wait_list) {
+Command read_command(const Device& device, const Buffer& buffer,
+                     std::size_t offset, std::size_t bytes, void* dst) {
   check_range(buffer, offset, bytes);
   core::check(dst != nullptr, core::Status::InvalidValue, "null destination");
-  if (bytes == 0) {
-    return submit_async(
-        CommandType::ReadBuffer,
-        [] { return Event{CommandType::ReadBuffer, 0.0, {}}; },
-        std::move(wait_list));
-  }
+  if (bytes == 0) return noop(CommandType::ReadBuffer);
   const auto* src = static_cast<const std::byte*>(buffer.device_ptr()) + offset;
-  return submit_async(
-      CommandType::ReadBuffer,
-      [this, src, bytes, dst] {
-        MCL_TRACE_SCOPE("cq.read", "bytes", bytes);
-        note_transfer(bytes);
-        Event ev{CommandType::ReadBuffer, 0.0, {}};
-        const core::TimePoint t0 = core::now();
-        std::memcpy(dst, src, bytes);
-        ev.seconds = core::elapsed_s(t0, core::now()) +
-                     device_->copy_overhead_seconds(bytes);
-        return ev;
-      },
-      std::move(wait_list));
+  return {CommandType::ReadBuffer, [&device, src, bytes, dst] {
+            MCL_TRACE_SCOPE("cq.read", "bytes", bytes);
+            note_transfer(bytes);
+            const core::TimePoint t0 = core::now();
+            std::memcpy(dst, src, bytes);
+            return Event{CommandType::ReadBuffer,
+                         core::elapsed_s(t0, core::now()) +
+                             device.copy_overhead_seconds(bytes),
+                         {}};
+          }};
 }
 
-AsyncEventPtr CommandQueue::enqueue_copy_buffer_async(
-    const Buffer& src, Buffer& dst, std::size_t src_offset,
-    std::size_t dst_offset, std::size_t bytes,
-    std::vector<AsyncEventPtr> wait_list) {
+Command copy_command(const Buffer& src, Buffer& dst, std::size_t src_offset,
+                     std::size_t dst_offset, std::size_t bytes) {
   check_range(src, src_offset, bytes);
   check_range(dst, dst_offset, bytes);
-  if (bytes == 0) {
-    return submit_async(
-        CommandType::CopyBuffer,
-        [] { return Event{CommandType::CopyBuffer, 0.0, {}}; },
-        std::move(wait_list));
-  }
+  if (bytes == 0) return noop(CommandType::CopyBuffer);
   const auto* s = static_cast<const std::byte*>(src.device_ptr()) + src_offset;
   auto* d = static_cast<std::byte*>(dst.device_ptr()) + dst_offset;
   core::check(s + bytes <= d || d + bytes <= s, core::Status::InvalidValue,
               "copy regions overlap");
-  return submit_async(
-      CommandType::CopyBuffer,
-      [s, d, bytes] {
-        MCL_TRACE_SCOPE("cq.copy", "bytes", bytes);
-        note_transfer(bytes);
-        Event ev{CommandType::CopyBuffer, 0.0, {}};
-        const core::TimePoint t0 = core::now();
-        std::memcpy(d, s, bytes);
-        ev.seconds = core::elapsed_s(t0, core::now());
-        return ev;
-      },
-      std::move(wait_list));
+  return {CommandType::CopyBuffer, [s, d, bytes] {
+            MCL_TRACE_SCOPE("cq.copy", "bytes", bytes);
+            note_transfer(bytes);
+            const core::TimePoint t0 = core::now();
+            std::memcpy(d, s, bytes);
+            return Event{CommandType::CopyBuffer,
+                         core::elapsed_s(t0, core::now()), {}};
+          }};
 }
 
-AsyncEventPtr CommandQueue::enqueue_fill_buffer_async(
-    Buffer& buffer, const void* pattern, std::size_t pattern_bytes,
-    std::size_t offset, std::size_t bytes,
-    std::vector<AsyncEventPtr> wait_list) {
+Command fill_command(Buffer& buffer, const void* pattern,
+                     std::size_t pattern_bytes, std::size_t offset,
+                     std::size_t bytes) {
   core::check(pattern != nullptr && pattern_bytes > 0,
               core::Status::InvalidValue, "null/empty fill pattern");
   core::check(bytes % pattern_bytes == 0, core::Status::InvalidValue,
@@ -802,46 +582,198 @@ AsyncEventPtr CommandQueue::enqueue_fill_buffer_async(
   core::check(offset % pattern_bytes == 0, core::Status::InvalidValue,
               "fill offset must be a multiple of the pattern size");
   check_range(buffer, offset, bytes);
-  if (bytes == 0) {
-    return submit_async(
-        CommandType::FillBuffer,
-        [] { return Event{CommandType::FillBuffer, 0.0, {}}; },
-        std::move(wait_list));
-  }
+  if (bytes == 0) return noop(CommandType::FillBuffer);
   auto* d = static_cast<std::byte*>(buffer.device_ptr()) + offset;
   std::vector<std::byte> pattern_copy(
       static_cast<const std::byte*>(pattern),
       static_cast<const std::byte*>(pattern) + pattern_bytes);
-  return submit_async(
-      CommandType::FillBuffer,
-      [d, bytes, pattern_copy = std::move(pattern_copy)] {
-        MCL_TRACE_SCOPE("cq.fill", "bytes", bytes);
-        note_transfer(bytes);
-        Event ev{CommandType::FillBuffer, 0.0, {}};
-        const core::TimePoint t0 = core::now();
-        for (std::size_t i = 0; i < bytes; i += pattern_copy.size()) {
-          std::memcpy(d + i, pattern_copy.data(), pattern_copy.size());
-        }
-        ev.seconds = core::elapsed_s(t0, core::now());
-        return ev;
-      },
-      std::move(wait_list));
+  return {CommandType::FillBuffer,
+          [d, bytes, pattern_copy = std::move(pattern_copy)] {
+            MCL_TRACE_SCOPE("cq.fill", "bytes", bytes);
+            note_transfer(bytes);
+            const core::TimePoint t0 = core::now();
+            for (std::size_t i = 0; i < bytes; i += pattern_copy.size()) {
+              std::memcpy(d + i, pattern_copy.data(), pattern_copy.size());
+            }
+            return Event{CommandType::FillBuffer,
+                         core::elapsed_s(t0, core::now()), {}};
+          }};
+}
+
+void check_rect(const Buffer& buffer, const BufferRect& r) {
+  core::check(rect_end(r, resolve(r)) <= buffer.size(),
+              core::Status::InvalidValue, "rect exceeds buffer size");
+}
+
+/// Strided 3D copy between two rects of equal region.
+Command rect_command(CommandType type, const BufferRect& dst_r, std::byte* dst,
+                     const BufferRect& src_r, const std::byte* src) {
+  core::check(dst_r.region[0] == src_r.region[0] &&
+                  dst_r.region[1] == src_r.region[1] &&
+                  dst_r.region[2] == src_r.region[2],
+              core::Status::InvalidValue, "rect regions differ");
+  const ResolvedRect rd = resolve(dst_r);
+  const ResolvedRect rs = resolve(src_r);
+  (void)rect_end(dst_r, rd);  // overflow audit; the buffer side is also
+  (void)rect_end(src_r, rs);  // bounds-checked by check_rect
+  return {type, [type, dst_r, dst, rd, src_r, src, rs] {
+            MCL_TRACE_SCOPE(
+                type == CommandType::ReadBufferRect ? "cq.read_rect"
+                                                    : "cq.write_rect",
+                "bytes", dst_r.region[0] * dst_r.region[1] * dst_r.region[2]);
+            const core::TimePoint t0 = core::now();
+            for (std::size_t z = 0; z < dst_r.region[2]; ++z) {
+              for (std::size_t y = 0; y < dst_r.region[1]; ++y) {
+                std::memcpy(dst + rect_offset(dst_r, rd, y, z),
+                            src + rect_offset(src_r, rs, y, z),
+                            dst_r.region[0]);
+              }
+            }
+            return Event{type, core::elapsed_s(t0, core::now()), {}};
+          }};
+}
+
+/// A launch body. The kernel's argument bindings are snapshot so later
+/// set_arg calls on the caller's Kernel cannot race the command.
+template <typename Launch>
+Command kernel_command(const Kernel& kernel, Launch launch) {
+  return {CommandType::NDRangeKernel,
+          [def = &kernel.def(), args = kernel.args(),
+           launch = std::move(launch)] {
+            MCL_PROF_COUNT("cq.kernel_launches", 1);
+            LaunchResult r = launch(*def, args);
+            return Event{CommandType::NDRangeKernel, r.seconds, std::move(r)};
+          }};
+}
+
+}  // namespace
+
+AsyncEventPtr CommandQueue::enqueue_write_buffer_async(
+    Buffer& buffer, std::size_t offset, std::size_t bytes, const void* src,
+    std::vector<AsyncEventPtr> wait_list, Blocking blocking) {
+  return submit(write_command(*device_, buffer, offset, bytes, src),
+                std::move(wait_list), blocking);
+}
+
+AsyncEventPtr CommandQueue::enqueue_read_buffer_async(
+    const Buffer& buffer, std::size_t offset, std::size_t bytes, void* dst,
+    std::vector<AsyncEventPtr> wait_list, Blocking blocking) {
+  return submit(read_command(*device_, buffer, offset, bytes, dst),
+                std::move(wait_list), blocking);
+}
+
+AsyncEventPtr CommandQueue::enqueue_copy_buffer_async(
+    const Buffer& src, Buffer& dst, std::size_t src_offset,
+    std::size_t dst_offset, std::size_t bytes,
+    std::vector<AsyncEventPtr> wait_list, Blocking blocking) {
+  return submit(copy_command(src, dst, src_offset, dst_offset, bytes),
+                std::move(wait_list), blocking);
+}
+
+AsyncEventPtr CommandQueue::enqueue_fill_buffer_async(
+    Buffer& buffer, const void* pattern, std::size_t pattern_bytes,
+    std::size_t offset, std::size_t bytes,
+    std::vector<AsyncEventPtr> wait_list, Blocking blocking) {
+  return submit(fill_command(buffer, pattern, pattern_bytes, offset, bytes),
+                std::move(wait_list), blocking);
+}
+
+AsyncEventPtr CommandQueue::enqueue_write_buffer_rect_async(
+    Buffer& buffer, const BufferRect& buffer_rect, const BufferRect& host_rect,
+    const void* src, std::vector<AsyncEventPtr> wait_list, Blocking blocking) {
+  core::check(src != nullptr, core::Status::InvalidValue, "null source");
+  check_rect(buffer, buffer_rect);
+  return submit(rect_command(CommandType::WriteBufferRect, buffer_rect,
+                             static_cast<std::byte*>(buffer.device_ptr()),
+                             host_rect, static_cast<const std::byte*>(src)),
+                std::move(wait_list), blocking);
+}
+
+AsyncEventPtr CommandQueue::enqueue_read_buffer_rect_async(
+    const Buffer& buffer, const BufferRect& buffer_rect,
+    const BufferRect& host_rect, void* dst,
+    std::vector<AsyncEventPtr> wait_list, Blocking blocking) {
+  core::check(dst != nullptr, core::Status::InvalidValue, "null destination");
+  check_rect(buffer, buffer_rect);
+  return submit(rect_command(CommandType::ReadBufferRect, host_rect,
+                             static_cast<std::byte*>(dst), buffer_rect,
+                             static_cast<const std::byte*>(buffer.device_ptr())),
+                std::move(wait_list), blocking);
+}
+
+Mapping CommandQueue::enqueue_map_buffer_async(
+    Buffer& buffer, MapFlags flags, std::size_t offset, std::size_t bytes,
+    std::vector<AsyncEventPtr> wait_list) {
+  (void)flags;  // recorded semantics only; all mappings are coherent here
+  check_range(buffer, offset, bytes);
+  const core::Seconds overhead = device_->map_overhead_seconds(buffer, bytes);
+  Mapping m{static_cast<std::byte*>(buffer.device_ptr()) + offset,
+            submit({CommandType::MapBuffer,
+                    [overhead] {
+                      return Event{CommandType::MapBuffer, overhead, {}};
+                    }},
+                   std::move(wait_list))};
+  buffer.note_mapped();
+  return m;
+}
+
+AsyncEventPtr CommandQueue::enqueue_unmap_async(
+    Buffer& buffer, void* mapped_ptr, std::vector<AsyncEventPtr> wait_list) {
+  const auto* base = static_cast<const std::byte*>(buffer.device_ptr());
+  const auto* p = static_cast<const std::byte*>(mapped_ptr);
+  core::check(p >= base && p < base + buffer.size(), core::Status::MapFailure,
+              "unmap pointer does not belong to this buffer");
+  core::check(buffer.note_unmapped(), core::Status::MapFailure,
+              "buffer is not mapped");
+  return submit(noop(CommandType::UnmapBuffer), std::move(wait_list));
+}
+
+AsyncEventPtr CommandQueue::enqueue_ndrange_async(
+    const Kernel& kernel, const NDRange& global, const NDRange& local,
+    std::vector<AsyncEventPtr> wait_list, const NDRange& offset,
+    Blocking blocking) {
+  return submit(kernel_command(kernel,
+                               [this, global, local, offset](
+                                   const KernelDef& def,
+                                   const KernelArgs& args) {
+                                 return device_->launch(def, args, global,
+                                                        local, offset);
+                               }),
+                std::move(wait_list), blocking);
+}
+
+Event CommandQueue::enqueue_ndrange_pinned(const Kernel& kernel,
+                                           const NDRange& global,
+                                           const NDRange& local,
+                                           std::span<const int> group_to_cpu) {
+  auto* cpu = dynamic_cast<CpuDevice*>(device_);
+  core::check(cpu != nullptr, core::Status::InvalidOperation,
+              "pinned launches are a CPU-device extension");
+  return submit(kernel_command(kernel,
+                               [cpu, global, local,
+                                cpus = std::vector<int>(group_to_cpu.begin(),
+                                                        group_to_cpu.end())](
+                                   const KernelDef& def,
+                                   const KernelArgs& args) {
+                                 return cpu->launch_pinned(def, args, global,
+                                                           local, cpus);
+                               }),
+                {}, Blocking::Yes)
+      ->result();
 }
 
 AsyncEventPtr CommandQueue::enqueue_marker_async(
-    std::vector<AsyncEventPtr> wait_list) {
+    std::vector<AsyncEventPtr> wait_list, Blocking blocking) {
   const bool gather = wait_list.empty();
-  return submit_async(
-      CommandType::Marker, [] { return Event{CommandType::Marker, 0.0, {}}; },
-      std::move(wait_list), gather, /*install_barrier=*/false);
+  return submit(noop(CommandType::Marker), std::move(wait_list), blocking,
+                gather, /*install_barrier=*/false);
 }
 
 AsyncEventPtr CommandQueue::enqueue_barrier_async(
     std::vector<AsyncEventPtr> wait_list) {
   const bool gather = wait_list.empty();
-  return submit_async(
-      CommandType::Barrier, [] { return Event{CommandType::Barrier, 0.0, {}}; },
-      std::move(wait_list), gather, /*install_barrier=*/true);
+  return submit(noop(CommandType::Barrier), std::move(wait_list),
+                Blocking::No, gather, /*install_barrier=*/true);
 }
 
 }  // namespace mcl::ocl

@@ -1,32 +1,35 @@
 // Context, command queue and events.
 //
-// Blocking commands execute synchronously (the paper's methodology uses
-// blocking calls for every measurement, Sec. III-D) and return an Event
-// carrying the profiled time, which is how the benches obtain kernel vs.
-// transfer time (Eq. 1).
+// Every command is one node of an event graph, blocking or not. The entry
+// points validate and snapshot at enqueue; a node's edges are its wait list
+// plus, on in-order queues, an implicit edge to the previously enqueued
+// command. The blocking calls wait for their node's result: the paper times
+// every measurement with blocking calls (Sec. III-D), and the returned Event
+// carries the profiled time behind Eq. 1's kernel vs. transfer split.
 //
-// Asynchronous commands form an event graph: each *_async call creates a
-// node whose edges are its wait list plus, on in-order queues, an implicit
-// edge to the previously enqueued command. Nodes whose dependencies have all
-// resolved are submitted to a shared threading::ThreadPool, so independent
-// commands of an OutOfOrder queue (and commands of different queues) execute
-// concurrently — the pocl-style DAG scheduler, not a FIFO dispatcher. Every
-// AsyncEvent tracks OpenCL event state (Queued -> Submitted -> Running ->
-// Complete/Error) and the four clGetEventProfilingInfo timestamps.
+// Ready nodes run on a shared threading::ThreadPool, so independent commands
+// of an OutOfOrder queue (and of different queues) execute concurrently —
+// the pocl-style DAG scheduler, not a FIFO dispatcher. A node that is ready
+// when submitted runs on the submitting thread instead when the caller waits
+// on it (Blocking::Yes) or its body is host bookkeeping (map, unmap); a node
+// that becomes ready later always goes to the pool. Every AsyncEvent tracks
+// OpenCL event state (Queued -> Submitted -> Running -> Complete/Error) and
+// the four clGetEventProfilingInfo timestamps.
 //
 // Transfer semantics on a CPU device — the crux of Fig 7/8:
 //  - enqueue_read/write_buffer physically copies between the caller's memory
 //    and the buffer's storage (one memcpy), exactly what a CPU OpenCL
 //    runtime does for the explicit-copy API;
-//  - enqueue_map_buffer returns the canonical pointer: no copy, constant
-//    cost ("only returning a pointer is needed" — Sec. III-D).
+//  - enqueue_map_buffer returns the canonical pointer, computed at enqueue:
+//    no copy, constant cost ("only returning a pointer is needed" —
+//    Sec. III-D).
 // On the simulated GPU device, events additionally carry modeled PCIe time.
 //
-// Lifetime contract for asynchronous transfers: ranges are validated and the
-// buffer's storage pointer is snapshot at enqueue time (so invalid calls fail
-// fast, at the call site). The buffer's storage and the host pointer must
-// both stay valid until the returned event completes; destroying either
-// earlier is undefined (and is what the ASan tier exists to catch).
+// Lifetime contract: ranges are validated and the buffer's storage pointer
+// is snapshot at enqueue time (so invalid calls fail fast, at the call
+// site). The buffer's storage and the host pointer must both stay valid
+// until the command's event completes; destroying either earlier is
+// undefined (and is what the ASan tier exists to catch).
 #pragma once
 
 #include <chrono>
@@ -100,9 +103,10 @@ struct Event {
   LaunchResult launch;          ///< valid for NDRangeKernel events
 };
 
-/// Waitable handle for non-blocking commands (clEvent analogue). Produced by
-/// the *_async entry points; doubles as the node of the queue's event graph.
-/// Copies share state (shared_ptr semantics via AsyncEventPtr).
+/// Waitable handle of a command (clEvent analogue) and the node of the
+/// queue's event graph. The *_async entry points return it; the blocking
+/// ones wait on it. Copies share state (shared_ptr semantics via
+/// AsyncEventPtr).
 class AsyncEvent;
 class CommandQueue;
 using AsyncEventPtr = std::shared_ptr<AsyncEvent>;
@@ -201,6 +205,21 @@ class AsyncEvent {
   std::vector<std::function<void(core::Status)>> continuations_;
 };
 
+/// Whether the caller waits for a command right after enqueueing it. Only
+/// decides where a node that is ready at submission runs (see the header
+/// comment); ordering and results are the same either way.
+enum class Blocking : bool { No, Yes };
+
+/// A validated command: its type and the body its node runs (queue.cpp).
+struct Command;
+
+/// Result of a non-blocking map: the canonical host pointer (valid once
+/// `event` completes) and the map command's event.
+struct Mapping {
+  void* ptr = nullptr;
+  AsyncEventPtr event;
+};
+
 /// clContext analogue: a device-set binding plus buffer factory. One context
 /// may hold several devices (the CPU device, its sub-devices, the simulated
 /// GPU); queues bind to one device of the set each, so a single context can
@@ -278,56 +297,134 @@ class CommandQueue {
     return has_flag(properties_, QueueProperties::OutOfOrder);
   }
 
-  /// clEnqueueWriteBuffer: host memory -> buffer. bytes == 0 is a no-op.
+  // Each command comes in two forms over one event-graph node. enqueue_X
+  // blocks and returns the completed Event; enqueue_X_async returns the
+  // node's event at once. `wait_list` adds explicit dependencies (events of
+  // this or any other queue); a failed wait-list event propagates its
+  // Status to the command instead of running it. Pass Blocking::Yes when
+  // the caller waits on the event right away (cl.h's blocking_* flags). See
+  // the header comment for ordering and lifetime rules.
+
+  /// clEnqueueWriteBuffer: host memory -> buffer (one memcpy). bytes == 0 is
+  /// a no-op command.
+  [[nodiscard]] AsyncEventPtr enqueue_write_buffer_async(
+      Buffer& buffer, std::size_t offset, std::size_t bytes, const void* src,
+      std::vector<AsyncEventPtr> wait_list = {},
+      Blocking blocking = Blocking::No);
   Event enqueue_write_buffer(Buffer& buffer, std::size_t offset,
-                             std::size_t bytes, const void* src);
+                             std::size_t bytes, const void* src) {
+    return enqueue_write_buffer_async(buffer, offset, bytes, src, {},
+                                      Blocking::Yes)->result();
+  }
 
   /// clEnqueueReadBuffer: buffer -> host memory. bytes == 0 is a no-op.
+  [[nodiscard]] AsyncEventPtr enqueue_read_buffer_async(
+      const Buffer& buffer, std::size_t offset, std::size_t bytes, void* dst,
+      std::vector<AsyncEventPtr> wait_list = {},
+      Blocking blocking = Blocking::No);
   Event enqueue_read_buffer(const Buffer& buffer, std::size_t offset,
-                            std::size_t bytes, void* dst);
+                            std::size_t bytes, void* dst) {
+    return enqueue_read_buffer_async(buffer, offset, bytes, dst, {},
+                                     Blocking::Yes)->result();
+  }
 
   /// clEnqueueCopyBuffer: device-side buffer-to-buffer copy. Overlapping
   /// src/dst regions (including via sub-buffers) are rejected.
+  [[nodiscard]] AsyncEventPtr enqueue_copy_buffer_async(
+      const Buffer& src, Buffer& dst, std::size_t src_offset,
+      std::size_t dst_offset, std::size_t bytes,
+      std::vector<AsyncEventPtr> wait_list = {},
+      Blocking blocking = Blocking::No);
   Event enqueue_copy_buffer(const Buffer& src, Buffer& dst,
                             std::size_t src_offset, std::size_t dst_offset,
-                            std::size_t bytes);
+                            std::size_t bytes) {
+    return enqueue_copy_buffer_async(src, dst, src_offset, dst_offset, bytes,
+                                     {}, Blocking::Yes)->result();
+  }
 
-  /// clEnqueueFillBuffer: tile `pattern` (pattern_bytes long) across
-  /// [offset, offset+bytes). bytes and offset must both be multiples of
-  /// pattern_bytes (OpenCL 1.2 §5.2.2).
+  /// clEnqueueFillBuffer: tile `pattern` (pattern_bytes long, copied at
+  /// enqueue) across [offset, offset+bytes). bytes and offset must both be
+  /// multiples of pattern_bytes (OpenCL 1.2 §5.2.2).
+  [[nodiscard]] AsyncEventPtr enqueue_fill_buffer_async(
+      Buffer& buffer, const void* pattern, std::size_t pattern_bytes,
+      std::size_t offset, std::size_t bytes,
+      std::vector<AsyncEventPtr> wait_list = {},
+      Blocking blocking = Blocking::No);
   Event enqueue_fill_buffer(Buffer& buffer, const void* pattern,
                             std::size_t pattern_bytes, std::size_t offset,
-                            std::size_t bytes);
+                            std::size_t bytes) {
+    return enqueue_fill_buffer_async(buffer, pattern, pattern_bytes, offset,
+                                     bytes, {}, Blocking::Yes)->result();
+  }
 
   /// clEnqueueWriteBufferRect: strided 3D host -> buffer copy. `host_rect`
   /// addresses `src`; `buffer_rect` addresses the buffer. The region fields
   /// of both rects must match.
+  [[nodiscard]] AsyncEventPtr enqueue_write_buffer_rect_async(
+      Buffer& buffer, const BufferRect& buffer_rect, const BufferRect& host_rect,
+      const void* src, std::vector<AsyncEventPtr> wait_list = {},
+      Blocking blocking = Blocking::No);
   Event enqueue_write_buffer_rect(Buffer& buffer, const BufferRect& buffer_rect,
-                                  const BufferRect& host_rect, const void* src);
+                                  const BufferRect& host_rect, const void* src) {
+    return enqueue_write_buffer_rect_async(buffer, buffer_rect, host_rect, src,
+                                           {}, Blocking::Yes)->result();
+  }
 
   /// clEnqueueReadBufferRect: strided 3D buffer -> host copy.
+  [[nodiscard]] AsyncEventPtr enqueue_read_buffer_rect_async(
+      const Buffer& buffer, const BufferRect& buffer_rect,
+      const BufferRect& host_rect, void* dst,
+      std::vector<AsyncEventPtr> wait_list = {},
+      Blocking blocking = Blocking::No);
   Event enqueue_read_buffer_rect(const Buffer& buffer,
                                  const BufferRect& buffer_rect,
-                                 const BufferRect& host_rect, void* dst);
+                                 const BufferRect& host_rect, void* dst) {
+    return enqueue_read_buffer_rect_async(buffer, buffer_rect, host_rect, dst,
+                                          {}, Blocking::Yes)->result();
+  }
 
-  /// clEnqueueMarker: a timestamped no-op (blocking commands are synchronous,
-  /// so the marker completes immediately).
-  Event enqueue_marker() { return Event{CommandType::Marker, 0.0, {}}; }
-
-  /// clEnqueueMapBuffer: returns a host pointer into the buffer. The event
-  /// (optional) records the mapping cost.
+  /// clEnqueueMapBuffer: the canonical pointer into the buffer, computed
+  /// (and the buffer counted as mapped) at enqueue; the host may use it once
+  /// the event completes. The blocking form's optional `event` records the
+  /// mapping cost.
+  [[nodiscard]] Mapping enqueue_map_buffer_async(
+      Buffer& buffer, MapFlags flags, std::size_t offset, std::size_t bytes,
+      std::vector<AsyncEventPtr> wait_list = {});
   [[nodiscard]] void* enqueue_map_buffer(Buffer& buffer, MapFlags flags,
                                          std::size_t offset, std::size_t bytes,
-                                         Event* event = nullptr);
+                                         Event* event = nullptr) {
+    Mapping m = enqueue_map_buffer_async(buffer, flags, offset, bytes);
+    const Event ev = m.event->result();
+    if (event != nullptr) *event = ev;
+    return m.ptr;
+  }
 
-  /// clEnqueueUnmapMemObject.
-  Event enqueue_unmap(Buffer& buffer, void* mapped_ptr);
+  /// clEnqueueUnmapMemObject. The pointer is checked and the mapping
+  /// released at enqueue.
+  [[nodiscard]] AsyncEventPtr enqueue_unmap_async(
+      Buffer& buffer, void* mapped_ptr,
+      std::vector<AsyncEventPtr> wait_list = {});
+  Event enqueue_unmap(Buffer& buffer, void* mapped_ptr) {
+    return enqueue_unmap_async(buffer, mapped_ptr)->result();
+  }
 
   /// clEnqueueNDRangeKernel. Pass a default-constructed NDRange as `local`
-  /// for the NULL-local-size behavior; `offset` is the global_work_offset.
+  /// for the NULL-local-size behavior; `offset` is the global_work_offset
+  /// (mclcheck's split-NDRange transform slices one launch into offset
+  /// sub-launches chained by wait-list edges). The kernel's argument
+  /// bindings are snapshot at enqueue; the buffers they reference must stay
+  /// alive until the event completes.
+  [[nodiscard]] AsyncEventPtr enqueue_ndrange_async(
+      const Kernel& kernel, const NDRange& global,
+      const NDRange& local = NDRange{},
+      std::vector<AsyncEventPtr> wait_list = {},
+      const NDRange& offset = NDRange{}, Blocking blocking = Blocking::No);
   Event enqueue_ndrange(const Kernel& kernel, const NDRange& global,
                         const NDRange& local = NDRange{},
-                        const NDRange& offset = NDRange{});
+                        const NDRange& offset = NDRange{}) {
+    return enqueue_ndrange_async(kernel, global, local, {}, offset,
+                                 Blocking::Yes)->result();
+  }
 
   /// MiniCL affinity extension (CPU device only): workgroup g runs on
   /// logical CPU group_to_cpu[g].
@@ -335,51 +432,17 @@ class CommandQueue {
                                const NDRange& local,
                                std::span<const int> group_to_cpu);
 
-  // --- non-blocking commands (event-graph executor over the shared thread
-  // pool; see the header comment for ordering and lifetime rules) -----------
-
-  /// Non-blocking clEnqueueNDRangeKernel. The kernel's argument bindings are
-  /// snapshot at enqueue time; the buffers they reference must stay alive
-  /// until the event completes. `wait_list` adds explicit dependencies (on
-  /// events of this or any other queue); a failed wait-list event propagates
-  /// its Status to this command instead of running it. `offset` is the
-  /// global_work_offset (mclcheck's split-NDRange transform slices one
-  /// launch into offset sub-launches chained by wait-list edges).
-  [[nodiscard]] AsyncEventPtr enqueue_ndrange_async(
-      const Kernel& kernel, const NDRange& global,
-      const NDRange& local = NDRange{},
-      std::vector<AsyncEventPtr> wait_list = {},
-      const NDRange& offset = NDRange{});
-
-  /// Non-blocking clEnqueueWriteBuffer (blocking_write = CL_FALSE). The
-  /// range is validated and the destination snapshot at enqueue time; `src`
-  /// and the buffer's storage must stay valid until the event completes.
-  [[nodiscard]] AsyncEventPtr enqueue_write_buffer_async(
-      Buffer& buffer, std::size_t offset, std::size_t bytes, const void* src,
-      std::vector<AsyncEventPtr> wait_list = {});
-
-  /// Non-blocking clEnqueueReadBuffer. Same lifetime contract as the write.
-  [[nodiscard]] AsyncEventPtr enqueue_read_buffer_async(
-      const Buffer& buffer, std::size_t offset, std::size_t bytes, void* dst,
-      std::vector<AsyncEventPtr> wait_list = {});
-
-  /// Non-blocking clEnqueueCopyBuffer.
-  [[nodiscard]] AsyncEventPtr enqueue_copy_buffer_async(
-      const Buffer& src, Buffer& dst, std::size_t src_offset,
-      std::size_t dst_offset, std::size_t bytes,
-      std::vector<AsyncEventPtr> wait_list = {});
-
-  /// Non-blocking clEnqueueFillBuffer (the pattern is copied at enqueue).
-  [[nodiscard]] AsyncEventPtr enqueue_fill_buffer_async(
-      Buffer& buffer, const void* pattern, std::size_t pattern_bytes,
-      std::size_t offset, std::size_t bytes,
-      std::vector<AsyncEventPtr> wait_list = {});
-
   /// clEnqueueMarkerWithWaitList: completes when the wait list completes —
   /// or, with an empty wait list, when every command enqueued so far has
   /// (on an in-order queue that is simply the previous command).
   [[nodiscard]] AsyncEventPtr enqueue_marker_async(
-      std::vector<AsyncEventPtr> wait_list = {});
+      std::vector<AsyncEventPtr> wait_list = {},
+      Blocking blocking = Blocking::No);
+  /// clEnqueueMarker + clWaitForEvents: returns once every command enqueued
+  /// so far has completed.
+  Event enqueue_marker() {
+    return enqueue_marker_async({}, Blocking::Yes)->result();
+  }
 
   /// clEnqueueBarrierWithWaitList: like the marker, but on an OutOfOrder
   /// queue every subsequently enqueued command also waits for it — the
@@ -387,9 +450,8 @@ class CommandQueue {
   [[nodiscard]] AsyncEventPtr enqueue_barrier_async(
       std::vector<AsyncEventPtr> wait_list = {});
 
-  /// clFinish: blocks until every asynchronous command enqueued on this
-  /// queue has reached a terminal state. (Blocking commands complete before
-  /// returning, so only async work can be pending.) The drain is transitive
+  /// clFinish: blocks until every command enqueued on this queue has reached
+  /// a terminal state. The drain is transitive
   /// through on_complete() callbacks: a callback that enqueues follow-up
   /// work on this queue cannot slip past a concurrent finish() — callback
   /// execution is counted alongside outstanding commands, so finish()
@@ -401,18 +463,18 @@ class CommandQueue {
 
   void note_callback_registered();
   void note_callback_done();
-  void check_range(const Buffer& buffer, std::size_t offset,
-                   std::size_t bytes) const;
 
   /// The process-wide executor all queues submit ready commands to.
   static threading::ThreadPool& executor_pool();
 
-  AsyncEventPtr submit_async(CommandType type, std::function<Event()> command,
-                             std::vector<AsyncEventPtr> wait_list,
-                             bool gather_outstanding = false,
-                             bool install_barrier = false);
-  void resolve_dep(const AsyncEventPtr& ev, core::Status dep_status);
-  void launch_ready(const AsyncEventPtr& ev);
+  /// Adds `command` to the event graph as one node and returns its event.
+  AsyncEventPtr submit(Command command, std::vector<AsyncEventPtr> wait_list,
+                       Blocking blocking = Blocking::No,
+                       bool gather_outstanding = false,
+                       bool install_barrier = false);
+  void resolve_dep(const AsyncEventPtr& ev, core::Status dep_status,
+                   bool run_inline = false);
+  void launch_ready(const AsyncEventPtr& ev, bool run_inline);
   void run_command(const AsyncEventPtr& ev);
   void finalize(const AsyncEventPtr& ev, Event result,
                 std::exception_ptr error, core::Status status);

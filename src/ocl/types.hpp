@@ -42,8 +42,7 @@ enum class MapFlags : std::uint32_t {
 };
 
 /// clCreateCommandQueue properties (subset). Default queues are in-order:
-/// every asynchronous command implicitly depends on the previously enqueued
-/// one. OutOfOrder queues only honor explicit wait lists, markers and
+/// every command implicitly depends on the previously enqueued one. OutOfOrder queues only honor explicit wait lists, markers and
 /// barriers (CL_QUEUE_OUT_OF_ORDER_EXEC_MODE_ENABLE semantics).
 enum class QueueProperties : std::uint32_t {
   Default = 0,

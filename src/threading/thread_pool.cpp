@@ -53,8 +53,7 @@ thread_local int tl_worker_index = -1;
 
 ThreadPool::ThreadPool(std::size_t threads, bool pin) {
   if (threads == 0) threads = static_cast<std::size_t>(logical_cpu_count());
-  worker_batch_ =
-      std::vector<std::atomic<std::shared_ptr<Batch>>>(threads);
+  worker_batch_.resize(threads);
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
     workers_.emplace_back([this, i, pin] { worker_loop(i, pin); });
@@ -230,15 +229,9 @@ RunStats ThreadPool::parallel_run_on(WorkerSpan span, std::size_t count,
     }
   }
 
-  // Publish under the lock: a worker evaluates the wait predicate while
-  // holding mutex_, so storing + notifying without it can land exactly
-  // between the predicate check and the sleep — the worker misses the batch
-  // and the caller silently does all the work alone (lost wakeup).
   {
     std::lock_guard lock(mutex_);
-    for (std::size_t i = span.begin; i < span.end; ++i) {
-      worker_batch_[i].store(batch, std::memory_order_release);
-    }
+    for (std::size_t i = span.begin; i < span.end; ++i) worker_batch_[i] = batch;
   }
   cv_.notify_all();
   drain_batch(*batch);  // the calling thread participates
@@ -247,15 +240,9 @@ RunStats ThreadPool::parallel_run_on(WorkerSpan span, std::size_t count,
   while (batch->done.load(std::memory_order_acquire) < count) {
     if (++spins > 64) std::this_thread::yield();
   }
-  // CAS rather than a plain store: only retire *our* batch from each slot,
-  // never a newer one another caller may have published since. A worker
-  // normally clears its own slot after draining; this sweep covers workers
-  // that never woke up before the batch completed.
-  for (std::size_t i = span.begin; i < span.end; ++i) {
-    std::shared_ptr<Batch> expected = batch;
-    worker_batch_[i].compare_exchange_strong(expected, nullptr,
-                                             std::memory_order_acq_rel);
-  }
+  // No sweep of the slots: every spanned worker was notified and clears its
+  // own slot once it wakes; a late worker finds the batch exhausted and its
+  // slot's shared_ptr keeps the batch alive until then.
 
   RunStats stats;
   std::size_t total = 0;
@@ -285,42 +272,35 @@ void ThreadPool::worker_loop(std::size_t worker_index, bool pin) {
   }
   tl_worker_pool = this;
   tl_worker_index = static_cast<int>(worker_index);
+  std::shared_ptr<Batch>& slot = worker_batch_[worker_index];
+  std::unique_lock lock(mutex_);
   for (;;) {
-    // Help with a batch published to our slot. The shared_ptr copy keeps the
-    // batch alive even if the producer finishes and releases it while we
-    // drain; a drain of an already-exhausted batch is a no-op (fn is only
-    // dereferenced after a successful index claim).
-    if (std::shared_ptr<Batch> b =
-            worker_batch_[worker_index].load(std::memory_order_acquire);
-        b != nullptr) {
+    cv_.wait(lock, [this, &slot] {
+      return stop_ || !tasks_.empty() || slot != nullptr;
+    });
+    // Help with a batch published to our slot first. The shared_ptr copy
+    // keeps the batch alive even if the producer finishes and releases it
+    // while we drain; a drain of an already-exhausted batch is a no-op (fn is
+    // only dereferenced after a successful index claim).
+    if (std::shared_ptr<Batch> b = slot) {
+      lock.unlock();
       drain_batch(*b);
-      // Clear only *our* batch: the slot may already hold a newer one.
-      worker_batch_[worker_index].compare_exchange_strong(
-          b, nullptr, std::memory_order_acq_rel);
+      lock.lock();
+      if (slot == b) slot = nullptr;  // the slot may already hold a newer one
       continue;
     }
-    std::function<void()> task;
-    {
-      std::unique_lock lock(mutex_);
-      cv_.wait(lock, [this, worker_index] {
-        return stop_ || !tasks_.empty() ||
-               worker_batch_[worker_index].load(std::memory_order_acquire) !=
-                   nullptr;
-      });
-      if (stop_ && tasks_.empty()) return;
-      if (tasks_.empty()) continue;  // woken for a batch; handled above
-      task = std::move(tasks_.front());
-      tasks_.pop_front();
-    }
+    if (tasks_.empty()) return;  // stop_ with nothing left to run
+    std::function<void()> task = std::move(tasks_.front());
+    tasks_.pop_front();
+    lock.unlock();
     {
       OccupancyScope occupancy;
       MCL_TRACE_SCOPE("pool.task");
       task();
     }
-    {
-      std::lock_guard lock(mutex_);
-      if (--in_flight_ == 0) idle_cv_.notify_all();
-    }
+    task = nullptr;  // release the task's captures outside the lock
+    lock.lock();
+    if (--in_flight_ == 0) idle_cv_.notify_all();
   }
 }
 

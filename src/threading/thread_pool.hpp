@@ -133,12 +133,12 @@ class ThreadPool {
   std::condition_variable cv_;
   std::condition_variable idle_cv_;
   std::size_t in_flight_ = 0;
-  /// Per-worker active batch slot. Published under mutex_ (ordering against
-  /// the workers' cv wait predicate — a lock-free store can land between the
-  /// predicate check and the sleep, losing the wakeup) but read lock-free.
-  /// A worker drains only its own slot; disjoint spans therefore run
+  /// Per-worker active batch slot, read and written under mutex_ (a worker
+  /// checks it in its cv wait predicate, so publishing outside the lock
+  /// could land between the check and the sleep and lose the wakeup). A
+  /// worker drains only its own slot; disjoint spans therefore run
   /// concurrently without sharing any scheduling state.
-  std::vector<std::atomic<std::shared_ptr<Batch>>> worker_batch_;
+  std::vector<std::shared_ptr<Batch>> worker_batch_;
   bool stop_ = false;
 };
 

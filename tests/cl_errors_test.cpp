@@ -94,6 +94,17 @@ struct MatrixCase {
   std::function<cl_int(Fix&)> run;
 };
 
+/// A user event already set to a failure status: a blocking command gated on
+/// it must return CL_EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST. Caller
+/// releases.
+cl_event failed_event(const Fix& f) {
+  cl_int err = CL_SUCCESS;
+  cl_event ev = clCreateUserEvent(f.context, &err);
+  EXPECT_EQ(CL_SUCCESS, err);
+  EXPECT_EQ(CL_SUCCESS, clSetUserEventStatus(ev, -5));
+  return ev;
+}
+
 // The matrix. Every Implemented/Stubbed surface row must appear here at
 // least once (asserted by MatrixCoversSurface below).
 const std::vector<MatrixCase>& matrix() {
@@ -583,6 +594,50 @@ const std::vector<MatrixCase>& matrix() {
          char not_mapped;
          return clEnqueueUnmapMemObject(f.queue, f.buffer, &not_mapped, 0,
                                         nullptr, nullptr);
+       }},
+      {"clEnqueueReadBuffer", "blocking read gated on a failed event",
+       CL_EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST,
+       [](Fix& f) {
+         cl_event ev = failed_event(f);
+         char dst[64];
+         cl_int rc = clEnqueueReadBuffer(f.queue, f.buffer, CL_TRUE, 0,
+                                         sizeof(dst), dst, 1, &ev, nullptr);
+         clReleaseEvent(ev);
+         return rc;
+       }},
+      {"clEnqueueWriteBuffer", "blocking write gated on a failed event",
+       CL_EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST,
+       [](Fix& f) {
+         cl_event ev = failed_event(f);
+         char src[64] = {0};
+         cl_int rc = clEnqueueWriteBuffer(f.queue, f.buffer, CL_TRUE, 0,
+                                          sizeof(src), src, 1, &ev, nullptr);
+         clReleaseEvent(ev);
+         return rc;
+       }},
+      {"clEnqueueMapBuffer", "blocking map gated on a failed event",
+       CL_EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST,
+       [](Fix& f) {
+         cl_event ev = failed_event(f);
+         cl_int err = CL_SUCCESS;
+         void* p = clEnqueueMapBuffer(f.queue, f.buffer, CL_TRUE, CL_MAP_READ,
+                                      0, 64, 1, &ev, nullptr, &err);
+         EXPECT_EQ(nullptr, p);
+         clReleaseEvent(ev);
+         return err;
+       }},
+      {"clEnqueueReadBufferRect", "blocking rect read gated on a failed event",
+       CL_EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST,
+       [](Fix& f) {
+         cl_event ev = failed_event(f);
+         char host[64];
+         size_t origin[3] = {0, 0, 0};
+         size_t region[3] = {16, 4, 1};
+         cl_int rc = clEnqueueReadBufferRect(f.queue, f.buffer, CL_TRUE,
+                                             origin, origin, region, 0, 0, 0,
+                                             0, host, 1, &ev, nullptr);
+         clReleaseEvent(ev);
+         return rc;
        }},
 
       // --- enqueue: sync primitives ---

@@ -615,6 +615,71 @@ TEST(ClShim, FailedUpstreamEventFailsDependentRead) {
   f.destroy();
 }
 
+// Rect reads and maps are event-graph nodes like every other command, so
+// the in-order contract holds for them: neither may run before the gated
+// write enqueued ahead of them. The user event fixes the order; nothing
+// here depends on timing.
+TEST(ClShim, InOrderQueueOrdersRectAndMap) {
+  CtxFix f = CtxFix::create(CL_QUEUE_PROFILING_ENABLE);
+  constexpr size_t kN = 16;
+  cl_int err = CL_SUCCESS;
+  std::vector<float> zeros(kN, 0.0f);
+  cl_mem buf = clCreateBuffer(f.context,
+                              CL_MEM_READ_WRITE | CL_MEM_COPY_HOST_PTR,
+                              kN * sizeof(float), zeros.data(), &err);
+  ASSERT_EQ(CL_SUCCESS, err);
+  cl_event gate = clCreateUserEvent(f.context, &err);
+  ASSERT_EQ(CL_SUCCESS, err);
+
+  std::vector<float> ones(kN, 1.0f);
+  cl_event write_ev;
+  ASSERT_EQ(CL_SUCCESS,
+            clEnqueueWriteBuffer(f.queue, buf, CL_FALSE, 0, kN * sizeof(float),
+                                 ones.data(), 1, &gate, &write_ev));
+  std::vector<float> host(kN, -7.0f);
+  const size_t origin[3] = {0, 0, 0};
+  const size_t region[3] = {kN * sizeof(float), 1, 1};
+  ASSERT_EQ(CL_SUCCESS,
+            clEnqueueReadBufferRect(f.queue, buf, CL_FALSE, origin, origin,
+                                    region, 0, 0, 0, 0, host.data(), 0,
+                                    nullptr, nullptr));
+  cl_event map_ev;
+  void* mapped = clEnqueueMapBuffer(f.queue, buf, CL_FALSE, CL_MAP_READ, 0,
+                                    kN * sizeof(float), 0, nullptr, &map_ev,
+                                    &err);
+  ASSERT_EQ(CL_SUCCESS, err);
+  ASSERT_NE(nullptr, mapped);
+
+  // Gate closed: the rect read has not run and the map has not completed.
+  EXPECT_EQ(std::vector<float>(kN, -7.0f), host);
+  cl_int st = CL_COMPLETE;
+  ASSERT_EQ(CL_SUCCESS, clGetEventInfo(map_ev, CL_EVENT_COMMAND_EXECUTION_STATUS,
+                                       sizeof(st), &st, nullptr));
+  EXPECT_NE(CL_COMPLETE, st);
+
+  ASSERT_EQ(CL_SUCCESS, clSetUserEventStatus(gate, CL_COMPLETE));
+  ASSERT_EQ(CL_SUCCESS, clFinish(f.queue));
+  EXPECT_EQ(ones, host);
+  EXPECT_EQ(1.0f, static_cast<const float*>(mapped)[0]);
+  cl_ulong write_end = 0, map_start = 0;
+  ASSERT_EQ(CL_SUCCESS,
+            clGetEventProfilingInfo(write_ev, CL_PROFILING_COMMAND_END,
+                                    sizeof(write_end), &write_end, nullptr));
+  ASSERT_EQ(CL_SUCCESS,
+            clGetEventProfilingInfo(map_ev, CL_PROFILING_COMMAND_START,
+                                    sizeof(map_start), &map_start, nullptr));
+  EXPECT_GE(map_start, write_end);
+
+  ASSERT_EQ(CL_SUCCESS, clEnqueueUnmapMemObject(f.queue, buf, mapped, 0,
+                                                nullptr, nullptr));
+  ASSERT_EQ(CL_SUCCESS, clFinish(f.queue));
+  clReleaseEvent(map_ev);
+  clReleaseEvent(write_ev);
+  clReleaseEvent(gate);
+  clReleaseMemObject(buf);
+  f.destroy();
+}
+
 // ---------------------------------------------------------------------------
 // MCL extensions (CL/cl_ext_mcl.h). Invalid inputs are in the error matrix.
 

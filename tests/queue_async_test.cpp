@@ -159,6 +159,29 @@ TEST(QueueAsync, InOrderQueueStillChainsImplicitly) {
   EXPECT_EQ(b.as<char>()[0], 2);
 }
 
+// A blocking call is a node of the same graph: on an in-order queue it
+// waits for the gated write enqueued ahead of it, however late the gate
+// opens.
+TEST(QueueAsync, BlockingCallWaitsForInOrderPredecessor) {
+  CpuDevice dev;
+  Context ctx(dev);
+  CommandQueue q(ctx);  // default: in-order
+  std::vector<float> zeros(16, 0.0f), ones(16, 1.0f), out(16, -7.0f);
+  Buffer b(MemFlags::ReadWrite | MemFlags::CopyHostPtr, 64, zeros.data());
+
+  const AsyncEventPtr gate = AsyncEvent::create_user();
+  const AsyncEventPtr write =
+      q.enqueue_write_buffer_async(b, 0, 64, ones.data(), {gate});
+  std::thread opener([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    gate->set_user_status(core::Status::Success);
+  });
+  (void)q.enqueue_read_buffer(b, 0, 64, out.data());
+  opener.join();
+  EXPECT_EQ(ones, out);
+  EXPECT_TRUE(write->complete());
+}
+
 // ----- wait lists across queues -------------------------------------------------
 
 TEST(QueueAsync, CrossQueueWaitEdgesHonored) {

@@ -31,13 +31,16 @@
 #      output);
 #   2. ASan+UBSan build (-DMCL_SANITIZE=address,undefined) + full ctest suite;
 #   3. TSan build (-DMCL_SANITIZE=thread) running the `threading` + `queue` +
-#      `trace` + `prof` + `serve` + `tune` + `subdev` labels — the
+#      `trace` + `prof` + `serve` + `tune` + `obs` + `subdev` labels — the
 #      thread-pool wakeup, event-graph executor, trace-ring, metrics-shard,
-#      multi-tenant serve, tuner decide/report/cache, and sub-device
-#      sharding tests (concurrent shard launches from multiple host threads
-#      over disjoint worker spans). Only those labels: TSan cannot track
-#      ucontext fiber stacks, so the fiber suites are excluded via the
-#      label selection.
+#      multi-tenant serve, tuner decide/report/cache, observability, and
+#      sub-device sharding tests (concurrent shard launches from multiple
+#      host threads over disjoint worker spans) — plus cl_shim_test by name,
+#      whose rect, map and unmap commands run as event-graph nodes on the
+#      executor pool. Only those tests: TSan cannot track ucontext fiber
+#      stacks, so the fiber suites are excluded via the selection
+#      (cl_shim_test launches only square, vectoradd and square_coalesced,
+#      none of which takes the fiber executor).
 #
 # Usage: tools/tier1.sh [jobs]    (jobs defaults to nproc)
 set -euo pipefail
@@ -125,9 +128,10 @@ cmake -B build-asan -S . -DMCL_SANITIZE=address,undefined
 cmake --build build-asan -j "$jobs"
 ctest --test-dir build-asan --output-on-failure
 
-echo "== tier1: TSan build (threading + queue + trace + prof + serve + tune + obs + subdev labels) =="
+echo "== tier1: TSan build (threading + queue + trace + prof + serve + tune + obs + subdev labels, cl_shim_test) =="
 cmake -B build-tsan -S . -DMCL_SANITIZE=thread
-cmake --build build-tsan -j "$jobs" --target threading_test queue_async_test trace_test prof_test serve_test tune_test obs_test subdevice_test
+cmake --build build-tsan -j "$jobs" --target threading_test queue_async_test trace_test prof_test serve_test tune_test obs_test subdevice_test cl_shim_test
 ctest --test-dir build-tsan --output-on-failure -L "threading|queue|trace|prof|serve|tune|obs|subdev"
+ctest --test-dir build-tsan --output-on-failure -R '^cl_shim_test$'
 
 echo "== tier1: all checks passed =="
