@@ -138,7 +138,7 @@ bool run_soundness_case(const Case& c, SoundnessStats& stats) {
   const auto drive = [&]() {
     ocl::detail::CheckedRunner runner(def, kernel.args(),
                                       ocl::NDRange(sc.global),
-                                      ocl::NDRange(sc.local), 64 * 1024);
+                                      ocl::NDRange(sc.local));
     runner.set_force_full_replay(true);
     try {
       runner.run();

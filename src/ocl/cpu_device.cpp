@@ -1,9 +1,13 @@
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
+#include <exception>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string_view>
 #include <thread>
+#include <vector>
 
 #include "core/error.hpp"
 #include "core/sysinfo.hpp"
@@ -32,26 +36,6 @@ std::uint64_t total_arg_bytes(const KernelArgs& args) {
   return bytes;
 }
 
-/// Rough per-workgroup traffic estimate for trace args: total buffer bytes
-/// split evenly across workgroups.
-std::uint64_t estimate_group_bytes(const KernelArgs& args,
-                                   std::size_t total_groups) {
-  return total_arg_bytes(args) / std::max<std::size_t>(total_groups, 1);
-}
-
-/// Items executed through the kernel's simd form. The Simd executor batches
-/// full lane groups along dim 0 of each local row and runs the remainder
-/// scalar, so coverage is (local0 - local0 % W) of every local0-item row.
-std::uint64_t simd_items_of(const detail::GroupRunner& runner,
-                            ExecutorKind used) {
-  if (used != ExecutorKind::Simd) return 0;
-  const std::size_t W = static_cast<std::size_t>(simd::kNativeFloatWidth);
-  const std::size_t local0 = std::max<std::size_t>(runner.local()[0], 1);
-  const std::size_t rows_per_group = runner.local().total() / local0;
-  return static_cast<std::uint64_t>(runner.total_groups()) *
-         (local0 - local0 % W) * rows_per_group;
-}
-
 /// Fault-injection hook for mclcheck's self-test (see docs/mclcheck.md):
 /// MCL_CHECK_INJECT=chunker makes the pooled dispatch drop the last
 /// workgroup, an off-by-one the differential fuzzer must catch and
@@ -61,37 +45,65 @@ bool inject_chunker_bug() {
   return inject != nullptr && std::string_view(inject) == "chunker";
 }
 
-prof::LaunchMeta launch_meta(const KernelDef& def,
+prof::LaunchMeta launch_meta(const KernelDef& def, const KernelArgs& args,
                              const detail::GroupRunner& runner,
-                             ExecutorKind used, double seconds,
-                             std::uint64_t est_bytes) {
+                             ExecutorKind used, double seconds) {
   prof::LaunchMeta meta;
   meta.groups = runner.total_groups();
   meta.items = static_cast<std::uint64_t>(runner.total_groups()) *
                runner.local().total();
-  meta.simd_items = simd_items_of(runner, used);
+  if (used == ExecutorKind::Simd) {
+    // The Simd executor batches full lane groups along dim 0 of each local
+    // row and runs the remainder scalar: (local0 - local0 % W) of every row.
+    const std::size_t W = static_cast<std::size_t>(simd::kNativeFloatWidth);
+    const std::size_t local0 = std::max<std::size_t>(runner.local()[0], 1);
+    meta.simd_items = meta.items / local0 * (local0 - local0 % W);
+  }
   meta.has_simd_form = def.simd != nullptr && simd::kNativeFloatWidth > 1;
   meta.seconds = seconds;
-  meta.est_bytes = est_bytes;
+  meta.est_bytes = total_arg_bytes(args);
   return meta;
 }
 
-}  // namespace
+/// The one group body every dispatcher runs: the launcher's causal context
+/// (pool and pinned threads lack it), the wg: span and the hardware-counter
+/// scope — each disarms on null/zero — around the group. It never throws
+/// (ThreadPool's fn must not; a pinned thread that does terminates): the
+/// first error is kept for the launcher, and later groups are skipped.
+struct GroupBody {
+  const detail::GroupRunner& runner;
+  const char* wg_name;      ///< null when tracing is off
+  std::uint64_t est_bytes;  ///< buffer bytes split evenly across groups
+  prof::LaunchAcc* acc;     ///< null when not profiling
+  std::uint64_t ctx;
+  std::atomic<bool> failed{false};
+  std::exception_ptr error{};
 
-struct CpuDevice::Impl {
-  explicit Impl(const CpuDeviceConfig& config)
-      : pool(config.threads, config.pin_workers) {}
-  threading::ThreadPool pool;
-  // Kernel launches are serialized per device: the pool's batch dispatch
-  // supports one batch at a time, and the device models a single in-order
-  // execution engine (multiple CommandQueues may share it).
-  std::mutex launch_mutex;
+  /// `cpu` tags a pinned launch's wg: span; the others tag the worker.
+  void operator()(std::size_t g, int cpu = -1) noexcept {
+    if (failed.load(std::memory_order_relaxed)) return;
+    trace::ContextScope cscope(ctx);
+    trace::ScopedSpan span(
+        wg_name, cpu >= 0 ? "group,cpu,est_bytes" : "group,worker,est_bytes",
+        g,
+        cpu >= 0 ? static_cast<std::uint64_t>(cpu)
+                 : (wg_name != nullptr ? trace::current_thread_id() : 0),
+        est_bytes);
+    prof::GroupScope hw(acc);
+    try {
+      runner.run_group(g);
+    } catch (...) {
+      if (!failed.exchange(true, std::memory_order_acq_rel)) {
+        error = std::current_exception();
+      }
+    }
+  }
 };
 
-CpuDevice::CpuDevice(CpuDeviceConfig config)
-    : impl_(std::make_unique<Impl>(config)), config_(config) {}
+}  // namespace
 
-CpuDevice::~CpuDevice() = default;
+CpuDevice::CpuDevice(CpuDeviceConfig config)
+    : config_(config), pool_(config.threads) {}
 
 std::string CpuDevice::name() const {
   const core::HostInfo host = core::probe_host();
@@ -99,24 +111,23 @@ std::string CpuDevice::name() const {
 }
 
 int CpuDevice::compute_units() const {
-  return static_cast<int>(impl_->pool.thread_count());
+  return static_cast<int>(pool_.thread_count());
 }
 
 LaunchResult CpuDevice::launch(const KernelDef& def, const KernelArgs& args,
                                const NDRange& global, const NDRange& local,
                                const NDRange& offset) {
-  return launch_core(def, args, global, local, offset,
-                     {0, impl_->pool.thread_count()},
-                     impl_->pool.thread_count(), impl_->launch_mutex);
+  return run_launch(def, args, global, local, offset,
+                    {{0, pool_.thread_count()}, &launch_mutex_, {}});
 }
 
 int CpuDevice::pool_worker_index() const noexcept {
-  return impl_->pool.worker_index_here();
+  return pool_.worker_index_here();
 }
 
 std::vector<std::shared_ptr<CpuSubDevice>> CpuDevice::partition_equally(
     std::size_t units) {
-  const std::size_t total = impl_->pool.thread_count();
+  const std::size_t total = pool_.thread_count();
   core::check(units > 0 && units <= total, core::Status::InvalidValue,
               "partition_equally: units must be in [1, compute_units]");
   std::vector<std::shared_ptr<CpuSubDevice>> subs;
@@ -130,7 +141,7 @@ std::vector<std::shared_ptr<CpuSubDevice>> CpuDevice::partition_equally(
 
 std::vector<std::shared_ptr<CpuSubDevice>> CpuDevice::partition_by_counts(
     std::span<const std::size_t> counts) {
-  const std::size_t total = impl_->pool.thread_count();
+  const std::size_t total = pool_.thread_count();
   core::check(!counts.empty(), core::Status::InvalidValue,
               "partition_by_counts: counts must be non-empty");
   std::size_t sum = 0;
@@ -164,65 +175,39 @@ std::string CpuSubDevice::name() const {
 LaunchResult CpuSubDevice::launch(const KernelDef& def, const KernelArgs& args,
                                   const NDRange& global, const NDRange& local,
                                   const NDRange& offset) {
-  return parent_->launch_core(def, args, global, local, offset, span_,
-                              span_.size(), launch_mutex_);
+  return parent_->run_launch(def, args, global, local, offset,
+                             {span_, &launch_mutex_, {}});
 }
 
-LaunchResult CpuDevice::launch_core(const KernelDef& def,
-                                    const KernelArgs& args,
-                                    const NDRange& global, const NDRange& local,
-                                    const NDRange& offset,
-                                    threading::WorkerSpan span,
-                                    std::size_t threads,
-                                    std::mutex& launch_mutex) {
-  threads = std::max<std::size_t>(threads, 1);
-  if (config_.executor == ExecutorKind::Checked) {
-    // mclsan dynamic mode: serial, instrumented execution. Throws
-    // SanitizerViolation (after the launch completes) on any finding.
-    detail::CheckedRunner checked(def, args, global, local,
-                                  config_.fiber_stack_bytes, offset);
-    LaunchResult result;
-    result.local_used = checked.local();
-    result.executor_used = ExecutorKind::Checked;
-    std::lock_guard launch_lock(launch_mutex);
-    trace::ScopedSpan span(
-        trace::enabled() ? trace::intern("launch.checked:" + def.name)
-                         : nullptr);
-    prof::LaunchAcc acc;
-    const core::TimePoint t0 = core::now();
-    {
-      // One scope around the whole serial run: hw counters still attribute
-      // to the kernel even though there is no per-group fan-out.
-      prof::GroupScope hw(prof::profiling() ? &acc : nullptr);
-      checked.run();
-    }
-    result.seconds = core::elapsed_s(t0, core::now());
-    if (prof::profiling()) {
-      prof::LaunchMeta meta;
-      const std::size_t local_total =
-          std::max<std::size_t>(result.local_used.total(), 1);
-      meta.items = global.total();
-      meta.groups = meta.items / local_total;
-      meta.has_simd_form = def.simd != nullptr && simd::kNativeFloatWidth > 1;
-      meta.seconds = result.seconds;
-      meta.est_bytes = total_arg_bytes(args);
-      result.profile = prof::commit_launch(def.name, acc, meta);
-    }
-    return result;
-  }
-  // mcltune hook: only launches that leave every knob to the runtime are
-  // tunable (an explicit executor config or a dispatch-order override is the
-  // caller asserting policy, e.g. the ablation benches' fixed arms). Local
-  // size is overridden only when the caller passed NullRange and the kernel
-  // binds no local-memory args — their byte counts were sized for the
-  // caller's groups. One relaxed load when MCL_TUNE is off.
+LaunchResult CpuDevice::launch_pinned(const KernelDef& def,
+                                      const KernelArgs& args,
+                                      const NDRange& global,
+                                      const NDRange& local,
+                                      std::span<const int> group_to_cpu) {
+  return run_launch(def, args, global, local, NDRange{},
+                    {{}, &launch_mutex_, group_to_cpu});
+}
+
+LaunchResult CpuDevice::run_launch(const KernelDef& def,
+                                   const KernelArgs& args,
+                                   const NDRange& global, const NDRange& local,
+                                   const NDRange& offset,
+                                   const Placement& where) {
+  const bool pinned = where.group_to_cpu.has_value();
+  const std::size_t threads = std::max<std::size_t>(where.span.size(), 1);
+  // mcltune hook: only pool launches that leave every knob to the runtime
+  // are tunable (an explicit executor config, a dispatch-order override or a
+  // CPU map is the caller asserting policy, e.g. the ablation benches' fixed
+  // arms). Local size is overridden only when the caller passed NullRange
+  // and the kernel binds no local-memory args — their byte counts were sized
+  // for the caller's groups. One relaxed load when MCL_TUNE is off.
   ExecutorKind exec_kind = config_.executor;
   NDRange launch_local = local;
   std::size_t chunk_divisor = 16;
   threading::ScheduleStrategy scheduler = config_.scheduler;
   std::optional<tune::Decision> tuned;
   if (tune::enabled() && config_.executor == ExecutorKind::Auto &&
-      !config_.dispatch_order) {
+      !config_.dispatch_order && !pinned) {
     tuned = tune::Tuner::instance().decide(def, global, local,
                                            args.total_local_bytes() > 0,
                                            threads);
@@ -242,151 +227,106 @@ LaunchResult CpuDevice::launch_core(const KernelDef& def,
     }
   }
 
-  detail::GroupRunner runner(def, args, global, launch_local, exec_kind,
-                             config_.fiber_stack_bytes, offset);
-  LaunchResult result;
-  result.local_used = runner.local();
-  result.executor_used = runner.executor();
-
-  if (config_.dispatch_order) {
-    // mclcheck's metamorphic dispatch-order transform: execute workgroups
-    // serially on this thread in the permuted order. Race-free kernels must
-    // be insensitive to it; the pool (and its chunker) is bypassed so the
-    // order is exact, not a scheduling hint.
-    std::lock_guard launch_lock(launch_mutex);
-    const std::size_t total = runner.total_groups();
-    const core::TimePoint t0 = core::now();
-    for (std::size_t k = 0; k < total; ++k) {
-      const std::size_t g = config_.dispatch_order(k, total);
-      core::check(g < total, core::Status::InvalidValue,
-                  "dispatch_order returned an out-of-range workgroup index");
-      runner.run_group(g);
-    }
-    result.seconds = core::elapsed_s(t0, core::now());
-    return result;
-  }
-
-  // Workgroups are claimed in chunks (as TBB-based runtimes do) so the
-  // shared-counter cost amortizes; per-group and per-item costs remain.
-  // `threads` is the shard width: sub-device launches size their chunks for
-  // the shard, not the whole pool.
-  const std::size_t chunk = std::clamp<std::size_t>(
-      runner.total_groups() / (threads * chunk_divisor), 1, 64);
-  // Real dispatch extent; diverges from total_groups() only under the
-  // MCL_CHECK_INJECT=chunker fault (drops the last group when there are
-  // at least two) so mclcheck's catch-and-minimize path can be exercised.
-  std::size_t dispatch_groups = runner.total_groups();
-  if (dispatch_groups > 1 && inject_chunker_bug()) --dispatch_groups;
-
-  std::lock_guard launch_lock(launch_mutex);
-  prof::LaunchAcc acc;
-  const core::TimePoint t0 = core::now();
-  if (!trace::enabled() && !prof::profiling()) {
-    result.schedule = impl_->pool.parallel_run_on(
-        span, dispatch_groups,
-        [&runner](std::size_t g) { runner.run_group(g); }, chunk, scheduler);
+  // 1. Build the runner. The Checked executor (mclsan dynamic mode) wraps
+  // it in a CheckedRunner, whose run() is the serial, instrumented
+  // whole-launch execution; it throws SanitizerViolation after the launch
+  // completes on any finding.
+  std::optional<detail::CheckedRunner> checked;
+  std::optional<detail::GroupRunner> plain;
+  if (config_.executor == ExecutorKind::Checked) {
+    checked.emplace(def, args, global, launch_local, offset);
   } else {
-    // Instrumented launch: a trace span per workgroup tagged (group id,
-    // worker id, estimated bytes touched) under an enclosing per-kernel
-    // launch span, and a prof::GroupScope sampling the worker's hardware
-    // counters across each workgroup batch. Either side disarms on null
-    // (wg_name when tracing is off, the accumulator when not profiling);
-    // the fast path above stays capture-light.
-    const char* wg_name =
-        trace::enabled() ? trace::intern("wg:" + def.name) : nullptr;
-    const std::uint64_t est_bytes =
-        estimate_group_bytes(args, runner.total_groups());
-    prof::LaunchAcc* const accp = prof::profiling() ? &acc : nullptr;
-    // Workgroups run on pool threads whose thread-local causal context is
-    // not the launcher's; carry it into the lambda so wg: spans stay
-    // attributable to the enclosing command (mclobs).
-    const std::uint64_t ctx = trace::current_context();
-    trace::ScopedSpan launch_span(
-        trace::enabled() ? trace::intern("launch:" + def.name) : nullptr,
-        "groups,threads", runner.total_groups(), threads);
-    result.schedule = impl_->pool.parallel_run_on(
-        span, dispatch_groups,
-        [&runner, wg_name, est_bytes, accp, ctx](std::size_t g) {
-          trace::ContextScope cscope(ctx);
-          trace::ScopedSpan span(wg_name, "group,worker,est_bytes", g,
-                                 wg_name != nullptr
-                                     ? trace::current_thread_id()
-                                     : 0,
-                                 est_bytes);
-          prof::GroupScope hw(accp);
-          runner.run_group(g);
-        },
-        chunk, scheduler);
+    plain.emplace(def, args, global, launch_local, exec_kind, offset);
   }
-  result.seconds = core::elapsed_s(t0, core::now());
-  if (tuned) tune::Tuner::instance().report(*tuned, result.seconds);
-  if (prof::profiling()) {
-    result.profile = prof::commit_launch(
-        def.name, acc,
-        launch_meta(def, runner, result.executor_used, result.seconds,
-                    total_arg_bytes(args)));
-  }
-  return result;
-}
+  const detail::GroupRunner& runner = checked ? checked->validator() : *plain;
+  const std::size_t groups = runner.total_groups();
 
-LaunchResult CpuDevice::launch_pinned(const KernelDef& def,
-                                      const KernelArgs& args,
-                                      const NDRange& global,
-                                      const NDRange& local,
-                                      std::span<const int> group_to_cpu) {
-  detail::GroupRunner runner(def, args, global, local, config_.executor,
-                             config_.fiber_stack_bytes);
-  core::check(group_to_cpu.size() == runner.total_groups(),
-              core::Status::InvalidValue,
-              "group_to_cpu must name a CPU for every workgroup");
-
-  // Bucket workgroups by target CPU; one pinned thread per distinct CPU.
+  // Pinned launches bucket workgroups by target CPU: one thread per CPU.
   std::map<int, std::vector<std::size_t>> by_cpu;
-  for (std::size_t g = 0; g < group_to_cpu.size(); ++g) {
-    core::check(group_to_cpu[g] >= 0, core::Status::InvalidValue,
-                "negative CPU id in group_to_cpu");
-    by_cpu[group_to_cpu[g]].push_back(g);
+  if (pinned) {
+    const std::span<const int> group_to_cpu = *where.group_to_cpu;
+    core::check(group_to_cpu.size() == groups, core::Status::InvalidValue,
+                "group_to_cpu must name a CPU for every workgroup");
+    for (std::size_t g = 0; g < groups; ++g) {
+      core::check(group_to_cpu[g] >= 0, core::Status::InvalidValue,
+                  "negative CPU id in group_to_cpu");
+      by_cpu[group_to_cpu[g]].push_back(g);
+    }
   }
 
   LaunchResult result;
   result.local_used = runner.local();
-  result.executor_used = runner.executor();
+  result.executor_used = checked ? ExecutorKind::Checked : runner.executor();
 
-  // Null when tracing is off; ScopedSpan disarms on a null name.
-  const char* wg_name =
-      trace::enabled() ? trace::intern("wg:" + def.name) : nullptr;
-  const std::uint64_t est_bytes =
-      wg_name != nullptr ? estimate_group_bytes(args, runner.total_groups())
-                         : 0;
+  // 2-4. Serialize on the (sub-)device, open the launch span, start timing.
+  std::lock_guard launch_lock(*where.launch_mutex);
+  trace::ScopedSpan launch_span(
+      trace::enabled() ? trace::intern("launch:" + def.name) : nullptr,
+      "groups,threads", groups, pinned ? by_cpu.size() : threads);
   prof::LaunchAcc acc;
   prof::LaunchAcc* const accp = prof::profiling() ? &acc : nullptr;
-
   const core::TimePoint t0 = core::now();
-  // Pinned threads are fresh; install the launcher's causal context so
-  // their wg: spans attribute like pool-thread launches (mclobs).
-  const std::uint64_t ctx = trace::current_context();
-  std::vector<std::thread> threads;
-  threads.reserve(by_cpu.size());
-  for (const auto& [cpu, groups] : by_cpu) {
-    threads.emplace_back(
-        [cpu = cpu, &groups, &runner, wg_name, est_bytes, accp, ctx] {
+
+  // 5-6. Run every workgroup through the group body on one dispatcher, wait
+  // for every participant, then rethrow the first error here.
+  if (checked) {
+    // One counter scope around the whole serial run: hw counters still
+    // attribute to the kernel without a per-group fan-out.
+    prof::GroupScope hw(accp);
+    checked->run();
+  } else {
+    const char* wg_name =
+        trace::enabled() ? trace::intern("wg:" + def.name) : nullptr;
+    GroupBody body{runner, wg_name,
+                   wg_name != nullptr ? total_arg_bytes(args) / groups : 0,
+                   accp, trace::current_context()};
+    if (config_.dispatch_order) {
+      // mclcheck's metamorphic dispatch-order transform: workgroups run
+      // serially on this thread in the permuted order. Race-free kernels
+      // must be insensitive to it; the pool (and its chunker) is bypassed so
+      // the order is exact, not a scheduling hint.
+      for (std::size_t k = 0; k < groups; ++k) {
+        const std::size_t g = config_.dispatch_order(k, groups);
+        core::check(g < groups, core::Status::InvalidValue,
+                    "dispatch_order returned an out-of-range workgroup index");
+        body(g);
+      }
+    } else if (pinned) {
+      // Joined when this scope ends, also if starting a thread throws.
+      std::vector<std::jthread> workers;
+      workers.reserve(by_cpu.size());
+      for (const auto& [cpu, cpu_groups] : by_cpu) {
+        workers.emplace_back([cpu = cpu, &cpu_groups, &body] {
           threading::pin_current_thread(cpu);
-          trace::ContextScope cscope(ctx);
-          for (std::size_t g : groups) {
-            trace::ScopedSpan span(wg_name, "group,cpu,est_bytes", g,
-                                   static_cast<std::uint64_t>(cpu), est_bytes);
-            prof::GroupScope hw(accp);
-            runner.run_group(g);
-          }
+          for (const std::size_t g : cpu_groups) body(g, cpu);
         });
+      }
+    } else {
+      // Workgroups are claimed in chunks (as TBB-based runtimes do) so the
+      // shared-counter cost amortizes; per-group and per-item costs remain.
+      // `threads` is the shard width: sub-device launches size their chunks
+      // for the shard, not the whole pool.
+      const std::size_t chunk = std::clamp<std::size_t>(
+          groups / (threads * chunk_divisor), 1, 64);
+      // Real dispatch extent; diverges from `groups` only under the
+      // MCL_CHECK_INJECT=chunker fault (drops the last group when there are
+      // at least two) so mclcheck's catch-and-minimize path can be exercised.
+      std::size_t dispatch_groups = groups;
+      if (dispatch_groups > 1 && inject_chunker_bug()) --dispatch_groups;
+      result.schedule = pool_.parallel_run_on(
+          where.span, dispatch_groups, [&body](std::size_t g) { body(g); },
+          chunk, scheduler);
+    }
+    if (body.error) std::rethrow_exception(body.error);
   }
-  for (auto& t : threads) t.join();
   result.seconds = core::elapsed_s(t0, core::now());
-  if (prof::profiling()) {
+
+  // 7. Report to the tuner and commit the profile, once per launch.
+  if (tuned) tune::Tuner::instance().report(*tuned, result.seconds);
+  if (accp != nullptr) {
     result.profile = prof::commit_launch(
         def.name, acc,
-        launch_meta(def, runner, result.executor_used, result.seconds,
-                    total_arg_bytes(args)));
+        launch_meta(def, args, runner, result.executor_used, result.seconds));
   }
   return result;
 }

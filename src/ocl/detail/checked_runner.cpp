@@ -31,20 +31,16 @@ constexpr std::size_t kFindingCap = 16;
 
 CheckedRunner::CheckedRunner(const KernelDef& def, const KernelArgs& args,
                              const NDRange& global, const NDRange& local,
-                             std::size_t fiber_stack_bytes,
                              const NDRange& offset)
     : def_(def),
       args_(args),
       global_(global),
       offset_(offset),
-      fiber_stack_bytes_(fiber_stack_bytes),
       // The GroupRunner constructor performs all launch validation (unset
-      // args, divisibility, barrier/executor compatibility) and resolves the
-      // NULL local size; Checked degrades inside it to Fiber/Loop, which is
-      // exactly the compatibility we need. Its run_group() is never called —
-      // execution happens here, instrumented.
-      validator_(def, args, global, local, ExecutorKind::Checked,
-                 fiber_stack_bytes, offset) {
+      // args, divisibility) and resolves the NULL local size; Checked
+      // resolves inside it like Auto, which is always a legal executor. Its
+      // run_group() is never called — execution happens here, instrumented.
+      validator_(def, args, global, local, ExecutorKind::Checked, offset) {
   local_ = validator_.local();
 }
 
@@ -369,8 +365,7 @@ void CheckedRunner::run_group_checked_fiber(std::size_t g0, std::size_t g1,
         const std::size_t z = index / (local_[0] * local_[1]);
         CtxAccess::set_item(ctx, x, y, z);
         def_.scalar(args_, ctx);
-      },
-      fiber_stack_bytes_);
+      });
   const auto [lo, hi] =
       std::minmax_element(barrier_counts.begin(), barrier_counts.end());
   if (*lo != *hi) {

@@ -53,12 +53,11 @@ class CheckedRunner {
   /// errors); `run()` then executes it serially with checking enabled.
   CheckedRunner(const KernelDef& def, const KernelArgs& args,
                 const NDRange& global, const NDRange& local,
-                std::size_t fiber_stack_bytes,
                 const NDRange& offset = NDRange{});
 
-  [[nodiscard]] const NDRange& local() const noexcept { return validator_.local(); }
-  [[nodiscard]] std::size_t total_groups() const noexcept {
-    return validator_.total_groups();
+  /// The validated launch shape (resolved local size, group count).
+  [[nodiscard]] const GroupRunner& validator() const noexcept {
+    return validator_;
   }
 
   /// Executes the whole NDRange (serially, on the calling thread) and throws
@@ -117,7 +116,6 @@ class CheckedRunner {
   NDRange global_;
   NDRange local_;
   NDRange offset_;
-  std::size_t fiber_stack_bytes_;
   GroupRunner validator_;  ///< reused for validation + local-size resolution
   std::vector<std::string> findings_;
   std::set<std::string> finding_keys_;

@@ -24,13 +24,8 @@ thread_local LocalArena t_arena;
 
 GroupRunner::GroupRunner(const KernelDef& def, const KernelArgs& args,
                          const NDRange& global, const NDRange& local,
-                         ExecutorKind kind, std::size_t fiber_stack_bytes,
-                         const NDRange& offset)
-    : def_(def),
-      args_(args),
-      global_(global),
-      offset_(offset),
-      fiber_stack_bytes_(fiber_stack_bytes) {
+                         ExecutorKind kind, const NDRange& offset)
+    : def_(def), args_(args), global_(global), offset_(offset) {
   core::check(offset.is_null() || offset.dims == global.dims,
               core::Status::InvalidGlobalWorkSize,
               "global offset dimensionality differs from global size");
@@ -63,44 +58,30 @@ GroupRunner::GroupRunner(const KernelDef& def, const KernelArgs& args,
     }
   }
 
-  // Resolve the executor. Checked is handled by CheckedRunner, which wraps
-  // this class; a bare GroupRunner degrades it to the matching plain kind.
-  kind_ = kind;
-  if (kind_ == ExecutorKind::Checked) {
-    kind_ = def.needs_barrier ? ExecutorKind::Fiber : ExecutorKind::Loop;
+  core::check(def.scalar != nullptr || def.workgroup != nullptr,
+              core::Status::BuildProgramFailure, "kernel lacks any body");
+  // Resolve the executor against the kernel's legal set. Workgroup-form
+  // kernels ignore the knob; reuse the Loop slot to mean "non-fiber,
+  // non-simd". Checked is executed by CheckedRunner, which uses this class
+  // only to validate, so it resolves like Auto.
+  const std::vector<ExecutorKind> legal = legal_executors(def);
+  if (legal.empty()) {
+    kind_ = ExecutorKind::Loop;
+    return;
   }
-  if (kind_ == ExecutorKind::Auto) {
-    if (def.workgroup != nullptr) {
-      // Workgroup-form kernels run as a whole group per call; reuse the Loop
-      // slot to mean "non-fiber, non-simd".
-      kind_ = ExecutorKind::Loop;
-    } else if (def.needs_barrier) {
-      kind_ = ExecutorKind::Fiber;
-    } else if (def.simd != nullptr && simd::kNativeFloatWidth > 1) {
-      kind_ = ExecutorKind::Simd;
-    } else {
-      kind_ = ExecutorKind::Loop;
-    }
-  }
-  if (kind_ == ExecutorKind::Simd) {
-    core::check(def.simd != nullptr, core::Status::InvalidOperation,
-                "kernel '" + def.name + "' has no simd form");
-  }
-  // A barrier kernel on a barrier-less executor used to surface as UB (a
-  // throw from inside the kernel body); reject the launch up front instead.
-  // The Checked executor runs barrier kernels on fibers, so it passes.
-  if (def.workgroup == nullptr && def.scalar != nullptr && def.needs_barrier &&
-      (kind_ == ExecutorKind::Loop || kind_ == ExecutorKind::Simd)) {
-    throw core::Error(core::Status::InvalidLaunch,
-                      "kernel '" + def.name +
-                          "' requires barriers but resolved to a non-fiber "
-                          "executor; select Fiber, Checked or Auto");
-  }
-  if (def.scalar == nullptr) {
-    core::check(def.workgroup != nullptr, core::Status::BuildProgramFailure,
-                "kernel lacks any body");
-    kind_ = ExecutorKind::Loop;  // workgroup form ignores the executor knob
-  }
+  kind_ = kind == ExecutorKind::Auto || kind == ExecutorKind::Checked
+              ? legal.front()
+              : kind;
+  if (std::find(legal.begin(), legal.end(), kind_) != legal.end()) return;
+  core::check(kind_ != ExecutorKind::Simd || def.simd != nullptr,
+              core::Status::InvalidOperation,
+              "kernel '" + def.name + "' has no simd form");
+  // A barrier kernel on a barrier-less executor would throw from inside the
+  // kernel body; reject the launch up front instead.
+  throw core::Error(core::Status::InvalidLaunch,
+                    "kernel '" + def.name +
+                        "' requires barriers but resolved to a non-fiber "
+                        "executor; select Fiber, Checked or Auto");
 }
 
 void* const* GroupRunner::prepare_local_mem() const {
@@ -203,8 +184,7 @@ void GroupRunner::run_group_fiber(std::size_t g0, std::size_t g1,
         const std::size_t z = index / (local_[0] * local_[1]);
         CtxAccess::set_item(ctx, x, y, z);
         def_.scalar(args_, ctx);
-      },
-      fiber_stack_bytes_);
+      });
 }
 
 void GroupRunner::run_group_wgfn(std::size_t g0, std::size_t g1, std::size_t g2,

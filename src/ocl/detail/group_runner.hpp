@@ -14,11 +14,11 @@ namespace mcl::ocl::detail {
 class GroupRunner {
  public:
   /// Validates (throws core::Error on invalid launches) and resolves the
-  /// NULL local size and the Auto executor. `offset` (may be null) shifts
+  /// NULL local size and the executor against legal_executors(def). `offset` (may be null) shifts
   /// every global id (clEnqueueNDRangeKernel's global_work_offset).
   GroupRunner(const KernelDef& def, const KernelArgs& args,
               const NDRange& global, const NDRange& local, ExecutorKind kind,
-              std::size_t fiber_stack_bytes, const NDRange& offset = NDRange{});
+              const NDRange& offset = NDRange{});
 
   [[nodiscard]] std::size_t total_groups() const noexcept { return total_groups_; }
   [[nodiscard]] const NDRange& local() const noexcept { return local_; }
@@ -47,7 +47,6 @@ class GroupRunner {
   NDRange local_;
   NDRange offset_;
   ExecutorKind kind_;
-  std::size_t fiber_stack_bytes_;
   std::size_t ngroups_[3] = {1, 1, 1};
   std::size_t total_groups_ = 0;
   // Local-memory layout: arg index -> offset into the arena.

@@ -11,6 +11,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -31,10 +32,10 @@ struct LaunchResult {
   ExecutorKind executor_used = ExecutorKind::Loop;
   bool simulated = false;        ///< seconds came from a timing model
   gpusim::SimResult sim;         ///< populated when simulated
-  threading::RunStats schedule;  ///< workgroup load balance (CPU device)
-  /// Per-launch hardware-counter profile (CPU device, while prof::profiling()
-  /// is active; launches == 0 otherwise). Rides the event DAG: AsyncEvent
-  /// exposes it as kernel_profile() next to profiling_ns().
+  threading::RunStats schedule;  ///< workgroup load balance (pool launches)
+  /// Per-launch hardware-counter profile (every CPU-device launch, while
+  /// prof::profiling() is active; launches == 0 otherwise). Rides the event
+  /// DAG: AsyncEvent exposes it as kernel_profile() next to profiling_ns().
   prof::KernelProfile profile;
 };
 
@@ -49,7 +50,9 @@ class Device {
   /// Validates and executes an NDRange. `local` may be null (NullRange) to
   /// let the device pick (pick_default_local policy); `offset` (null = 0)
   /// shifts every global id, as clEnqueueNDRangeKernel's
-  /// global_work_offset does.
+  /// global_work_offset does. Throws core::Error on an invalid launch, and
+  /// rethrows the kernel's own error when a workgroup throws; the queue
+  /// turns either into a failed command carrying that Status.
   virtual LaunchResult launch(const KernelDef& def, const KernelArgs& args,
                               const NDRange& global, const NDRange& local,
                               const NDRange& offset = NDRange{}) = 0;
@@ -76,9 +79,7 @@ class Device {
 /// Configuration of the CPU device.
 struct CpuDeviceConfig {
   std::size_t threads = 0;      ///< 0 = one worker per logical CPU
-  bool pin_workers = false;     ///< pin worker i to logical CPU i
   ExecutorKind executor = ExecutorKind::Auto;
-  std::size_t fiber_stack_bytes = 64 * 1024;
   /// Workgroup distribution policy (see threading::ScheduleStrategy and
   /// bench/ablation_scheduler).
   threading::ScheduleStrategy scheduler =
@@ -97,7 +98,6 @@ class CpuSubDevice;
 class CpuDevice final : public Device {
  public:
   explicit CpuDevice(CpuDeviceConfig config = {});
-  ~CpuDevice() override;
 
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] DeviceType type() const override { return DeviceType::Cpu; }
@@ -111,7 +111,8 @@ class CpuDevice final : public Device {
   /// MiniCL extension the paper argues for (Sec. III-E): launch with an
   /// explicit workgroup -> logical-CPU map. group_to_cpu[g] names the CPU
   /// that must execute linear workgroup g; its size must equal the group
-  /// count. Trades the shared pool for per-launch pinned threads.
+  /// count. Trades the shared pool for per-launch pinned threads; otherwise
+  /// the same launch body as launch() (device lock, spans, profile, errors).
   LaunchResult launch_pinned(const KernelDef& def, const KernelArgs& args,
                              const NDRange& global, const NDRange& local,
                              std::span<const int> group_to_cpu);
@@ -141,20 +142,29 @@ class CpuDevice final : public Device {
  private:
   friend class CpuSubDevice;
 
-  /// Shared launch body: runs the NDRange on the workers of `span` (plus the
-  /// calling thread), serialized by `launch_mutex` (the parent and each
-  /// sub-device carry their own — sibling shards must not serialize against
-  /// each other). `threads` is the shard width the tuner keys entries on and
-  /// the chunker divides by: the SUB-device size for sharded launches, never
-  /// the parent pool size.
-  LaunchResult launch_core(const KernelDef& def, const KernelArgs& args,
-                           const NDRange& global, const NDRange& local,
-                           const NDRange& offset, threading::WorkerSpan span,
-                           std::size_t threads, std::mutex& launch_mutex);
+  /// Where a launch runs: on the pool workers of `span` plus the calling
+  /// thread (the span's width is the shard width the tuner and chunker use),
+  /// or on one pinned thread per CPU of `group_to_cpu`. The parent and each
+  /// sub-device own a `launch_mutex`; sibling shards do not serialize.
+  struct Placement {
+    threading::WorkerSpan span;
+    std::mutex* launch_mutex;
+    std::optional<std::span<const int>> group_to_cpu;
+  };
 
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
+  /// The one launch body behind every CPU launch path (see cpu_device.cpp):
+  /// lock, launch:<name> span, timing, one group body per workgroup, first
+  /// error rethrown after every participant has left, one profile commit.
+  LaunchResult run_launch(const KernelDef& def, const KernelArgs& args,
+                          const NDRange& global, const NDRange& local,
+                          const NDRange& offset, const Placement& where);
+
   CpuDeviceConfig config_;
+  threading::ThreadPool pool_;
+  // Launches are serialized per device: the pool's batch dispatch supports
+  // one batch at a time, and the device models a single in-order execution
+  // engine (multiple CommandQueues may share it).
+  std::mutex launch_mutex_;
 };
 
 /// A fixed-width shard of a CpuDevice (clCreateSubDevices analogue). Shares

@@ -1,6 +1,7 @@
 #include "ocl/kernel.hpp"
 
 #include "ocl/detail/ctx_access.hpp"
+#include "simd/vec.hpp"
 
 namespace mcl::ocl {
 
@@ -25,6 +26,16 @@ WorkItemCtx WorkGroupCtx::make_item_template() const {
 void WorkGroupCtx::set_item(WorkItemCtx& ctx, std::size_t x, std::size_t y,
                             std::size_t z) const {
   CtxAccess::set_item(ctx, x, y, z);
+}
+
+std::vector<ExecutorKind> legal_executors(const KernelDef& def) {
+  if (def.workgroup != nullptr) return {};
+  if (def.needs_barrier) return {ExecutorKind::Fiber};
+  if (def.simd == nullptr) return {ExecutorKind::Loop, ExecutorKind::Fiber};
+  if (simd::kNativeFloatWidth > 1) {
+    return {ExecutorKind::Simd, ExecutorKind::Loop, ExecutorKind::Fiber};
+  }
+  return {ExecutorKind::Loop, ExecutorKind::Simd, ExecutorKind::Fiber};
 }
 
 void Program::add(KernelDef def) {

@@ -297,6 +297,13 @@ struct KernelDef {
   bool needs_barrier = false;  ///< scalar body calls WorkItemCtx::barrier()
 };
 
+/// The executors that can run `def`, Auto's pick first — the one statement
+/// of executor legality, used by GroupRunner, the tuner and SimGpuDevice.
+/// Empty for workgroup-form kernels (they ignore the executor knob); Fiber
+/// only for barrier kernels; else Simd (with a simd form; after Loop on a
+/// single-lane build), Loop and Fiber.
+[[nodiscard]] std::vector<ExecutorKind> legal_executors(const KernelDef& def);
+
 /// A "built program": a set of kernel definitions.
 class Program {
  public:

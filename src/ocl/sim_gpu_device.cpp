@@ -13,12 +13,13 @@ LaunchResult SimGpuDevice::launch(const KernelDef& def, const KernelArgs& args,
                                   const NDRange& global, const NDRange& local,
                                   const NDRange& offset) {
   // Functional execution on the host (single-threaded, barrier-capable so
-  // local-memory kernels stay correct). Forcing Fiber for barrier kernels and
-  // the workgroup/loop path otherwise mirrors GroupRunner's Auto minus SIMD
-  // (lane coalescing is a CPU-compiler concern).
-  const ExecutorKind kind =
-      def.needs_barrier ? ExecutorKind::Fiber : ExecutorKind::Loop;
-  detail::GroupRunner runner(def, args, global, local, kind, 64 * 1024, offset);
+  // local-memory kernels stay correct): Auto's pick minus Simd, since lane
+  // coalescing is a CPU-compiler concern.
+  const std::vector<ExecutorKind> legal = legal_executors(def);
+  const ExecutorKind kind = !legal.empty() && legal.front() == ExecutorKind::Simd
+                                ? legal[1]
+                                : ExecutorKind::Auto;
+  detail::GroupRunner runner(def, args, global, local, kind, offset);
 
   LaunchResult result;
   result.local_used = runner.local();

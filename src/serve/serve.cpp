@@ -636,7 +636,6 @@ void Server::finish_item(const ForwardItem& item, core::Status status,
       obs::note_request_complete(req->ctx, item.tenant->id, obs::decompose(t),
                                  status);
     }
-    req->done->set_user_status(status);
     const std::uint64_t latency = now - req->submit_ns;
     if (record) {
       item.tenant->latency.record(latency);
@@ -658,19 +657,26 @@ void Server::finish_item(const ForwardItem& item, core::Status status,
                            status == core::Status::Success ? 1 : 0);
     }
   }
+  // Stats, then tickets, then wakeups: a returned wait() must already see
+  // its request counted, and Session::finish() (outstanding == 0) must
+  // still imply every ticket is terminal.
+  TenantState& tenant = *item.tenant;
   {
     std::lock_guard lock(mutex_);
-    in_flight_--;
-    TenantState& tenant = *item.tenant;
     for (const auto& req : item.reqs) {
       req->rstate = Request::RState::Done;
-      tenant.stats.outstanding--;
       if (status == core::Status::Success) {
         tenant.stats.completed++;
       } else {
         tenant.stats.failed++;
       }
     }
+  }
+  for (const auto& req : item.reqs) req->done->set_user_status(status);
+  {
+    std::lock_guard lock(mutex_);
+    in_flight_--;
+    tenant.stats.outstanding -= item.reqs.size();
     tenant.space_cv.notify_all();
     signal_ = true;
     sched_cv_.notify_one();

@@ -7,9 +7,40 @@
 #include <stdexcept>
 #include <vector>
 
+#if defined(__SANITIZE_ADDRESS__)
+#define MCL_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define MCL_ASAN 1
+#endif
+#endif
+#ifdef MCL_ASAN
+#include <sanitizer/common_interface_defs.h>
+#endif
+
 namespace mcl::threading {
 
 namespace {
+
+// AddressSanitizer must be told about every stack switch: an exception
+// thrown on a fiber unpoisons "the current stack", and without these calls
+// that is the thread's stack, leaving the fiber's unwound frames poisoned
+// (false reports on the next use of that memory). No-ops without ASan.
+void asan_start_switch([[maybe_unused]] void** fake_stack_save,
+                       [[maybe_unused]] const void* bottom,
+                       [[maybe_unused]] std::size_t size) {
+#ifdef MCL_ASAN
+  __sanitizer_start_switch_fiber(fake_stack_save, bottom, size);
+#endif
+}
+
+void asan_finish_switch([[maybe_unused]] void* fake_stack_save,
+                        [[maybe_unused]] const void** bottom_old,
+                        [[maybe_unused]] std::size_t* size_old) {
+#ifdef MCL_ASAN
+  __sanitizer_finish_switch_fiber(fake_stack_save, bottom_old, size_old);
+#endif
+}
 
 /// Per-thread pool of equally-sized fiber stacks.
 class StackPool {
@@ -90,7 +121,10 @@ class FiberScheduler {
       for (Fiber& f : fibers_) {
         if (f.finished) continue;
         current_ = &f;
+        void* fake_stack = nullptr;
+        asan_start_switch(&fake_stack, f.stack, stack_bytes_);
         swapcontext(&main_ctx_, &f.ctx);
+        asan_finish_switch(fake_stack, nullptr, nullptr);
         current_ = nullptr;
         if (f.finished) --live;
         if (f.exception) {
@@ -105,7 +139,9 @@ class FiberScheduler {
 
   void yield_current() {
     Fiber* f = current_;
+    asan_start_switch(&f->fake_stack, main_bottom_, main_size_);
     swapcontext(&f->ctx, &main_ctx_);
+    asan_finish_switch(f->fake_stack, &main_bottom_, &main_size_);
   }
 
  private:
@@ -114,6 +150,7 @@ class FiberScheduler {
     void* stack = nullptr;
     std::size_t index = 0;
     bool finished = false;
+    void* fake_stack = nullptr;  ///< ASan's state while switched away
     std::exception_ptr exception;
     FiberScheduler* sched = nullptr;
   };
@@ -122,19 +159,25 @@ class FiberScheduler {
     const auto ptr = static_cast<std::uintptr_t>(lo) |
                      (static_cast<std::uintptr_t>(hi) << 32);
     Fiber* f = reinterpret_cast<Fiber*>(ptr);
-    FiberYield yield(*f->sched);
+    FiberScheduler& sched = *f->sched;
+    asan_finish_switch(nullptr, &sched.main_bottom_, &sched.main_size_);
+    FiberYield yield(sched);
     try {
-      f->sched->body_(f->index, yield);
+      sched.body_(f->index, yield);
     } catch (...) {
       f->exception = std::current_exception();
     }
     f->finished = true;
-    // Returning lets uc_link switch back to the scheduler's main context.
+    // Returning lets uc_link switch back to the scheduler's main context;
+    // this fiber's stack is done, so ASan gets no state to save.
+    asan_start_switch(nullptr, sched.main_bottom_, sched.main_size_);
   }
 
   const FiberBody& body_;
   std::vector<Fiber> fibers_;
   ucontext_t main_ctx_{};
+  const void* main_bottom_ = nullptr;  ///< the thread's stack, for ASan
+  std::size_t main_size_ = 0;
   Fiber* current_ = nullptr;
   std::size_t stack_bytes_ = 0;
 

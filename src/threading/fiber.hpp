@@ -35,10 +35,13 @@ class FiberYield {
 /// Body invoked once per fiber.
 using FiberBody = std::function<void(std::size_t index, FiberYield& yield)>;
 
+/// Stack size of every workitem fiber the runtime starts.
+inline constexpr std::size_t kFiberStackBytes = 64 * 1024;
+
 /// Runs `count` fibers to completion on the calling thread with barrier
 /// support. `stack_bytes` is rounded up to the page size.
 void run_fiber_group(std::size_t count, const FiberBody& body,
-                     std::size_t stack_bytes = 64 * 1024);
+                     std::size_t stack_bytes = kFiberStackBytes);
 
 /// Releases this thread's cached fiber stacks (mainly for leak-checking in
 /// tests; safe to never call).

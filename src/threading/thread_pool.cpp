@@ -51,12 +51,12 @@ thread_local int tl_worker_index = -1;
 
 }  // namespace
 
-ThreadPool::ThreadPool(std::size_t threads, bool pin) {
+ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) threads = static_cast<std::size_t>(logical_cpu_count());
   worker_batch_.resize(threads);
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this, i, pin] { worker_loop(i, pin); });
+    workers_.emplace_back([this, i] { worker_loop(i); });
   }
 }
 
@@ -266,10 +266,7 @@ void ThreadPool::wait_idle() {
   idle_cv_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
-void ThreadPool::worker_loop(std::size_t worker_index, bool pin) {
-  if (pin) {
-    pin_current_thread(static_cast<int>(worker_index) % logical_cpu_count());
-  }
+void ThreadPool::worker_loop(std::size_t worker_index) {
   tl_worker_pool = this;
   tl_worker_index = static_cast<int>(worker_index);
   std::shared_ptr<Batch>& slot = worker_batch_[worker_index];

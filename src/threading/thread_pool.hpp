@@ -61,9 +61,9 @@ struct WorkerSpan {
 
 class ThreadPool {
  public:
-  /// `threads` == 0 selects logical_cpu_count(). When `pin` is true worker i
-  /// is pinned to logical CPU i % logical_cpu_count().
-  explicit ThreadPool(std::size_t threads = 0, bool pin = false);
+  /// `threads` == 0 selects logical_cpu_count(). Workers are not pinned;
+  /// placement by CPU is CpuDevice::launch_pinned's job.
+  explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -78,7 +78,10 @@ class ThreadPool {
   /// participates), returning when all indices completed. `chunk` indices
   /// are claimed per counter pop (CentralCounter) or per owner claim
   /// (WorkStealing). Not reentrant: do not call parallel_run from inside fn.
-  /// WorkStealing supports counts < 2^32. Returns load-balance statistics.
+  /// fn must not throw: an exception would unwind the caller while workers
+  /// still run fn, so callers catch inside fn (CpuDevice's group body keeps
+  /// the first error and rethrows it after the batch). WorkStealing supports
+  /// counts < 2^32. Returns load-balance statistics.
   RunStats parallel_run(std::size_t count,
                         const std::function<void(std::size_t)>& fn,
                         std::size_t chunk = 1,
@@ -86,9 +89,9 @@ class ThreadPool {
 
   /// parallel_run restricted to the workers of `span` (plus the calling
   /// thread, which always participates and guarantees completion even if
-  /// every spanned worker is busy elsewhere). Concurrent calls on disjoint
-  /// spans proceed in parallel with disjoint worker sets — the sub-device
-  /// sharding substrate. Concurrent calls on overlapping spans are safe but
+  /// every spanned worker is busy elsewhere); fn must not throw here either.
+  /// Concurrent calls on disjoint spans proceed in parallel with disjoint
+  /// worker sets — the sub-device sharding substrate. Concurrent calls on overlapping spans are safe but
   /// contend: a worker helps one batch at a time, and each caller finishes
   /// its own batch regardless.
   RunStats parallel_run_on(WorkerSpan span, std::size_t count,
@@ -123,7 +126,7 @@ class ThreadPool {
     std::atomic<std::size_t> tally_ids{0};
   };
 
-  void worker_loop(std::size_t worker_index, bool pin);
+  void worker_loop(std::size_t worker_index);
   static void drain_batch(Batch& batch);
   static void drain_batch_stealing(Batch& batch);
 

@@ -117,21 +117,17 @@ std::vector<ocl::NDRange> candidate_locals(const ocl::NDRange& global,
   return out;
 }
 
-/// Executors legal for this kernel — exactly GroupRunner's rules:
-/// workgroup-form kernels ignore the knob (Auto only); barrier kernels must
-/// run on fibers (Loop/Simd throw InvalidLaunch); Simd needs a registered
-/// simd form and a multi-lane build. Checked is never a tuning candidate
-/// (it is the sanitizer, ~100x slower by design).
+/// Executors worth a trial, drawn from ocl::legal_executors: Auto's pick,
+/// plus the scalar Loop baseline when that pick is Simd. So Fiber only where
+/// it is mandatory, never Checked (the sanitizer, ~100x slower by design),
+/// and Auto alone for workgroup-form kernels, which ignore the knob.
 std::vector<ocl::ExecutorKind> candidate_executors(const ocl::KernelDef& def) {
-  if (def.workgroup != nullptr && def.scalar == nullptr) {
-    return {ocl::ExecutorKind::Auto};
+  const std::vector<ocl::ExecutorKind> legal = ocl::legal_executors(def);
+  if (legal.empty()) return {ocl::ExecutorKind::Auto};
+  if (legal.front() == ocl::ExecutorKind::Simd) {
+    return {ocl::ExecutorKind::Simd, ocl::ExecutorKind::Loop};
   }
-  if (def.needs_barrier) return {ocl::ExecutorKind::Fiber};
-  std::vector<ocl::ExecutorKind> out{ocl::ExecutorKind::Loop};
-  if (def.simd != nullptr && simd::kNativeFloatWidth > 1) {
-    out.push_back(ocl::ExecutorKind::Simd);
-  }
-  return out;
+  return {legal.front()};
 }
 
 /// Legality of one concrete config for one launch — the same rules candidate

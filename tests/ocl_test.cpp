@@ -73,6 +73,30 @@ void group_sum(const KernelArgs& a, const WorkGroupCtx& wg) {
 const KernelRegistrar reg_group_sum{
     {.name = "test_group_sum", .workgroup = &group_sum}};
 
+/// Writes its output, then calls barrier() without registering
+/// needs_barrier: Auto resolves it to Loop, where barrier() throws
+/// InvalidOperation from inside the kernel body.
+void undeclared_barrier(const KernelArgs& a, const WorkItemCtx& c) {
+  a.buffer<float>(0)[c.global_id(0)] = 1.0f;
+  c.barrier();
+}
+const KernelRegistrar reg_undeclared_barrier{
+    {.name = "test_undeclared_barrier", .scalar = &undeclared_barrier}};
+
+/// Barrier kernel (Fiber executor) whose workitem 16 throws after the first
+/// barrier: the failure surfaces from a fiber mid-group.
+void fiber_fault(const KernelArgs& a, const WorkItemCtx& c) {
+  a.buffer<float>(0)[c.global_id(0)] = 1.0f;
+  c.barrier();
+  if (c.global_id(0) == 16) {
+    throw core::Error(core::Status::OutOfResources, "fiber fault");
+  }
+  c.barrier();
+}
+const KernelRegistrar reg_fiber_fault{{.name = "test_fiber_fault",
+                                       .scalar = &fiber_fault,
+                                       .needs_barrier = true}};
+
 // ----- NDRange & local-size policy ----------------------------------------------
 
 TEST(NDRange, TotalsAndEquality) {
@@ -409,6 +433,42 @@ TEST(Launch, PinnedExtensionRunsAllGroups) {
   std::vector<int> bad(3, 0);
   EXPECT_THROW((void)q.enqueue_ndrange_pinned(k, NDRange{n}, NDRange{l}, bad),
                core::Error);
+}
+
+// A kernel that throws fails its command with its own Status on the pooled
+// path and the pinned path alike (the pool path used to crash the process).
+// These run fibers, which TSan cannot follow, so they live here rather than
+// in queue_async_test.
+TEST(Launch, ThrowingKernelsFailTheirCommand) {
+  struct Case {
+    const char* kernel;
+    core::Status status;
+  };
+  for (const Case c : {Case{"test_undeclared_barrier",
+                            core::Status::InvalidOperation},
+                       Case{"test_fiber_fault", core::Status::OutOfResources}}) {
+    SCOPED_TRACE(c.kernel);
+    CpuDevice dev(CpuDeviceConfig{.threads = 2});
+    Context ctx(dev);
+    CommandQueue q(ctx);
+    const std::size_t n = 256, l = 32;
+    Buffer out(MemFlags::ReadWrite, n * sizeof(float));
+    Kernel k = ctx.create_kernel(Program::builtin(), c.kernel);
+    k.set_arg(0, out);
+    const AsyncEventPtr ev = q.enqueue_ndrange_async(k, NDRange{n}, NDRange{l});
+    EXPECT_THROW(ev->wait(), core::Error);
+    EXPECT_EQ(ev->status(), c.status);
+
+    std::vector<int> cpus(n / l);
+    for (std::size_t g = 0; g < cpus.size(); ++g) cpus[g] = static_cast<int>(g % 2);
+    try {
+      (void)q.enqueue_ndrange_pinned(k, NDRange{n}, NDRange{l}, cpus);
+      ADD_FAILURE() << "pinned launch of a throwing kernel succeeded";
+    } catch (const core::Error& e) {
+      EXPECT_EQ(e.status(), c.status);
+    }
+    q.finish();
+  }
 }
 
 // ----- queue transfers ---------------------------------------------------------

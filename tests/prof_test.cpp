@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -340,6 +341,54 @@ TEST(ProfSession, ProfileJsonIsSelfDescribing) {
   EXPECT_NE(json.find("\"usable\":"), std::string::npos);
   EXPECT_NE(json.find("\"prof_square\""), std::string::npos);
   EXPECT_NE(json.find("\"metrics\":"), std::string::npos);
+}
+
+// Every CPU launch path runs one launch body and commits exactly one
+// profile per launch — the pinned, dispatch-order and Checked paths too.
+TEST(ProfSession, EveryLaunchPathCommitsOneProfile) {
+  constexpr std::size_t kN = 512, kLocal = 64;
+  const ocl::KernelDef& def = ocl::Program::builtin().lookup("prof_square");
+  ocl::Buffer in(ocl::MemFlags::ReadWrite, kN * sizeof(float));
+  ocl::Buffer out(ocl::MemFlags::ReadWrite, kN * sizeof(float));
+  ocl::KernelArgs args;
+  args.set_buffer(0, in);
+  args.set_buffer(1, out);
+
+  ocl::CpuDevice pool_dev(ocl::CpuDeviceConfig{.threads = 2});
+  const auto subs = pool_dev.partition_equally(1);
+  ocl::CpuDevice order_dev(ocl::CpuDeviceConfig{
+      .threads = 1,
+      .dispatch_order = [](std::size_t k, std::size_t total) {
+        return total - 1 - k;
+      }});
+  ocl::CpuDevice checked_dev(
+      ocl::CpuDeviceConfig{.threads = 1, .executor = ocl::ExecutorKind::Checked});
+  const std::vector<int> cpus(kN / kLocal, 0);
+  const ocl::NDRange global{kN};
+  const ocl::NDRange local{kLocal};
+
+  const std::pair<const char*, std::function<ocl::LaunchResult()>> paths[] = {
+      {"pool", [&] { return pool_dev.launch(def, args, global, local); }},
+      {"sub-device", [&] { return subs[0]->launch(def, args, global, local); }},
+      {"pinned",
+       [&] { return pool_dev.launch_pinned(def, args, global, local, cpus); }},
+      {"dispatch order",
+       [&] { return order_dev.launch(def, args, global, local); }},
+      {"checked", [&] { return checked_dev.launch(def, args, global, local); }},
+  };
+  for (const auto& [name, launch] : paths) {
+    SCOPED_TRACE(name);
+    start();
+    reset_profiles();
+    const ocl::LaunchResult r = launch();
+    EXPECT_EQ(r.profile.launches, 1u);
+    EXPECT_EQ(r.profile.groups, kN / kLocal);
+    EXPECT_EQ(r.profile.items, kN);
+    const KernelProfile p = kernel_profile("prof_square");
+    EXPECT_EQ(p.launches, 1u);
+    EXPECT_EQ(p.groups, kN / kLocal);
+    stop();
+  }
 }
 
 TEST(ProfSession, StartClearsPriorProfilesAndResetClears) {

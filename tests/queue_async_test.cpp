@@ -11,6 +11,8 @@
 #include <thread>
 #include <vector>
 
+#include <CL/cl.h>
+
 #include "ocl/queue.hpp"
 
 namespace mcl::ocl {
@@ -38,6 +40,20 @@ void double_fn(const KernelArgs& a, const WorkItemCtx& c) {
   a.buffer<float>(1)[i] = 2.0f * a.buffer<float>(0)[i];
 }
 const KernelRegistrar reg_double{{.name = "qa_double", .scalar = &double_fn}};
+
+/// Writes its output, then throws core::Error(kKernelFault) from workgroup 5
+/// (global id 80 with local 16): the kernel's own failure, not a launch
+/// validation error. Each group dwells ~200 us so every participant of a
+/// pooled launch is busy inside a group when the fault fires.
+constexpr core::Status kKernelFault = core::Status::OutOfResources;
+void throw_fn(const KernelArgs& a, const WorkItemCtx& c) {
+  a.buffer<float>(0)[c.global_id(0)] = 1.0f;
+  if (c.local_id(0) == 0) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  if (c.global_id(0) == 80) throw core::Error(kKernelFault, "workgroup fault");
+}
+const KernelRegistrar reg_throw{{.name = "qa_throw", .scalar = &throw_fn}};
 
 /// Closes the gate on construction and guarantees it opens again even if a
 /// test bails early (queues drain in destructors and must not time out).
@@ -457,6 +473,126 @@ TEST(QueueAsync, StressChainedCommandsFourThreads) {
   for (auto& th : threads) th.join();
   q.finish();
   EXPECT_EQ(failures.load(), 0);
+}
+
+// ----- kernel failures ------------------------------------------------------------
+// A kernel that throws from one workgroup must fail its command with the
+// kernel's own Status on every CPU launch path — never unwind through the
+// pool (SIGSEGV) or out of a pinned thread (std::terminate).
+
+constexpr std::size_t kThrowItems = 256;
+
+/// Enqueues qa_throw on `q` and expects the command to fail with the
+/// kernel's Status; the queue stays usable afterwards.
+void expect_kernel_fault(Context& ctx, CommandQueue& q) {
+  Buffer out(MemFlags::ReadWrite, kThrowItems * sizeof(float));
+  Kernel k = ctx.create_kernel(Program::builtin(), "qa_throw");
+  k.set_arg(0, out);
+  const AsyncEventPtr ev =
+      q.enqueue_ndrange_async(k, NDRange{kThrowItems}, NDRange{16});
+  EXPECT_THROW(ev->wait(), core::Error);
+  EXPECT_EQ(ev->state(), CommandState::Error);
+  EXPECT_EQ(ev->status(), kKernelFault);
+  // The device is not wedged: its launch lock was released.
+  Kernel ok = ctx.create_kernel(Program::builtin(), "qa_double");
+  ok.set_arg(0, out);
+  ok.set_arg(1, out);
+  EXPECT_NO_THROW(q.enqueue_ndrange(ok, NDRange{kThrowItems}, NDRange{16}));
+  q.finish();
+}
+
+TEST(QueueAsync, ThrowingKernelFailsPoolCommand) {
+  CpuDevice dev(CpuDeviceConfig{.threads = 2});
+  Context ctx(dev);
+  CommandQueue q(ctx);
+  expect_kernel_fault(ctx, q);
+}
+
+TEST(QueueAsync, ThrowingKernelFailsSubDeviceCommand) {
+  CpuDevice dev(CpuDeviceConfig{.threads = 2});
+  const auto subs = dev.partition_equally(1);
+  Context ctx(*subs[0]);
+  CommandQueue q(ctx);
+  expect_kernel_fault(ctx, q);
+}
+
+TEST(QueueAsync, ThrowingKernelFailsDispatchOrderCommand) {
+  CpuDevice dev(CpuDeviceConfig{
+      .threads = 1,
+      .dispatch_order = [](std::size_t k, std::size_t total) {
+        return total - 1 - k;
+      }});
+  Context ctx(dev);
+  CommandQueue q(ctx);
+  expect_kernel_fault(ctx, q);
+}
+
+TEST(QueueAsync, ThrowingKernelFailsPinnedCommand) {
+  CpuDevice dev(CpuDeviceConfig{.threads = 1});
+  Context ctx(dev);
+  CommandQueue q(ctx);
+  Buffer out(MemFlags::ReadWrite, kThrowItems * sizeof(float));
+  Kernel k = ctx.create_kernel(Program::builtin(), "qa_throw");
+  k.set_arg(0, out);
+  // Two CPUs, alternating groups: the faulting group shares its thread with
+  // others and the second thread runs concurrently.
+  std::vector<int> cpus(kThrowItems / 16);
+  for (std::size_t g = 0; g < cpus.size(); ++g) cpus[g] = static_cast<int>(g % 2);
+  try {
+    (void)q.enqueue_ndrange_pinned(k, NDRange{kThrowItems}, NDRange{16}, cpus);
+    ADD_FAILURE() << "pinned launch of a throwing kernel succeeded";
+  } catch (const core::Error& e) {
+    EXPECT_EQ(e.status(), kKernelFault);
+  }
+  q.finish();
+}
+
+TEST(QueueAsync, ThrowingKernelFailsClEnqueueNDRangeKernelEvent) {
+  cl_platform_id platform = nullptr;
+  cl_device_id device = nullptr;
+  ASSERT_EQ(CL_SUCCESS, clGetPlatformIDs(1, &platform, nullptr));
+  ASSERT_EQ(CL_SUCCESS, clGetDeviceIDs(platform, CL_DEVICE_TYPE_CPU, 1,
+                                       &device, nullptr));
+  cl_int err = CL_SUCCESS;
+  cl_context context =
+      clCreateContext(nullptr, 1, &device, nullptr, nullptr, &err);
+  ASSERT_EQ(CL_SUCCESS, err);
+  cl_command_queue queue = clCreateCommandQueue(context, device, 0, &err);
+  ASSERT_EQ(CL_SUCCESS, err);
+  const char* src = "__kernel void qa_throw(__global float* out) {}\n";
+  cl_program program =
+      clCreateProgramWithSource(context, 1, &src, nullptr, &err);
+  ASSERT_EQ(CL_SUCCESS, err);
+  ASSERT_EQ(CL_SUCCESS,
+            clBuildProgram(program, 0, nullptr, nullptr, nullptr, nullptr));
+  cl_kernel kernel = clCreateKernel(program, "qa_throw", &err);
+  ASSERT_EQ(CL_SUCCESS, err);
+  cl_mem out = clCreateBuffer(context, CL_MEM_READ_WRITE,
+                              kThrowItems * sizeof(float), nullptr, &err);
+  ASSERT_EQ(CL_SUCCESS, err);
+  ASSERT_EQ(CL_SUCCESS, clSetKernelArg(kernel, 0, sizeof(cl_mem), &out));
+
+  const size_t global = kThrowItems;
+  const size_t local = 16;
+  cl_event ev = nullptr;
+  ASSERT_EQ(CL_SUCCESS, clEnqueueNDRangeKernel(queue, kernel, 1, nullptr,
+                                               &global, &local, 0, nullptr,
+                                               &ev));
+  EXPECT_EQ(CL_EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST,
+            clWaitForEvents(1, &ev));
+  cl_int status = CL_COMPLETE;
+  ASSERT_EQ(CL_SUCCESS,
+            clGetEventInfo(ev, CL_EVENT_COMMAND_EXECUTION_STATUS,
+                           sizeof(status), &status, nullptr));
+  EXPECT_LT(status, 0);
+  EXPECT_EQ(CL_SUCCESS, clFinish(queue));
+
+  clReleaseEvent(ev);
+  clReleaseMemObject(out);
+  clReleaseKernel(kernel);
+  clReleaseProgram(program);
+  clReleaseCommandQueue(queue);
+  clReleaseContext(context);
 }
 
 }  // namespace

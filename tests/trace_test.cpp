@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <latch>
 #include <map>
 #include <string>
@@ -278,6 +279,65 @@ TEST(TraceEpoch, EveryCommandEmitsAllLifecycleSpans) {
   // Span count == command count: nothing dropped on zero-duration rounding.
   EXPECT_EQ(queued, kCommands);
   EXPECT_EQ(dispatch, kCommands);
+}
+
+// Every CPU launch path runs one launch body: exactly one launch:<name> span
+// per launch and one wg:<name> span per workgroup, except under Checked,
+// whose serial whole-launch run has no per-group fan-out.
+TEST(TraceLaunch, EveryLaunchPathEmitsOneLaunchSpanAndOneSpanPerGroup) {
+  constexpr std::size_t n = 1024, l = 64, groups = n / l;
+  const ocl::KernelDef& def = ocl::Program::builtin().lookup("square");
+  ocl::Buffer in(ocl::MemFlags::ReadWrite, n * sizeof(float));
+  ocl::Buffer out(ocl::MemFlags::ReadWrite, n * sizeof(float));
+  ocl::KernelArgs args;
+  args.set_buffer(0, in);
+  args.set_buffer(1, out);
+
+  ocl::CpuDevice pool_dev(ocl::CpuDeviceConfig{.threads = 2});
+  const auto subs = pool_dev.partition_equally(1);
+  ocl::CpuDevice order_dev(ocl::CpuDeviceConfig{
+      .threads = 1,
+      .dispatch_order = [](std::size_t k, std::size_t total) {
+        return total - 1 - k;
+      }});
+  ocl::CpuDevice checked_dev(
+      ocl::CpuDeviceConfig{.threads = 1, .executor = ocl::ExecutorKind::Checked});
+  const std::vector<int> cpus(groups, 0);
+  const ocl::NDRange global{n};
+  const ocl::NDRange local{l};
+
+  struct Path {
+    const char* name;
+    std::function<ocl::LaunchResult()> launch;
+    std::size_t wg_spans;
+  };
+  const Path paths[] = {
+      {"pool", [&] { return pool_dev.launch(def, args, global, local); },
+       groups},
+      {"sub-device", [&] { return subs[0]->launch(def, args, global, local); },
+       groups},
+      {"pinned",
+       [&] { return pool_dev.launch_pinned(def, args, global, local, cpus); },
+       groups},
+      {"dispatch order", [&] { return order_dev.launch(def, args, global, local); },
+       groups},
+      {"checked", [&] { return checked_dev.launch(def, args, global, local); },
+       0},
+  };
+  for (const Path& path : paths) {
+    SCOPED_TRACE(path.name);
+    start(/*drain_interval_ms=*/10);
+    (void)path.launch();
+    stop();
+    std::size_t launch_spans = 0, wg_spans = 0;
+    for (const TaggedEvent& te : collect()) {
+      const std::string_view name = te.event.name;
+      if (name == "launch:square") ++launch_spans;
+      if (name == "wg:square") ++wg_spans;
+    }
+    EXPECT_EQ(launch_spans, 1u);
+    EXPECT_EQ(wg_spans, path.wg_spans);
+  }
 }
 
 }  // namespace

@@ -471,7 +471,7 @@ TEST(VerifyProofCarrying, CheckedRunnerSkipsProvenReplay) {
   const ocl::KernelDef& def = ocl::Program::builtin().lookup("square");
   SquareLaunch launch;
   ocl::detail::CheckedRunner runner(def, launch.args, ocl::NDRange(256),
-                                    ocl::NDRange(), 64 * 1024);
+                                    ocl::NDRange());
   runner.run();
   ASSERT_NE(runner.launch_proof(), nullptr);
   EXPECT_TRUE(runner.launch_proof()->all_proven());
@@ -484,7 +484,7 @@ TEST(VerifyProofCarrying, ForcedFullReplayStillExposesTheProof) {
   const ocl::KernelDef& def = ocl::Program::builtin().lookup("square");
   SquareLaunch launch;
   ocl::detail::CheckedRunner runner(def, launch.args, ocl::NDRange(256),
-                                    ocl::NDRange(), 64 * 1024);
+                                    ocl::NDRange());
   runner.set_force_full_replay(true);
   runner.run();
   ASSERT_NE(runner.launch_proof(), nullptr);  // the soundness ground truth
@@ -499,7 +499,7 @@ TEST(VerifyProofCarrying, KillSwitchDisablesProofs) {
   const ocl::KernelDef& def = ocl::Program::builtin().lookup("square");
   SquareLaunch launch;
   ocl::detail::CheckedRunner runner(def, launch.args, ocl::NDRange(256),
-                                    ocl::NDRange(), 64 * 1024);
+                                    ocl::NDRange());
   runner.run();
   EXPECT_EQ(runner.launch_proof(), nullptr);
   EXPECT_EQ(runner.skipped_accesses(), 0u);
@@ -516,7 +516,7 @@ TEST(VerifyProofCarrying, UnprovenLaunchStillReplaysAndFlags) {
   args.set_buffer(0, in);
   args.set_buffer(1, out);
   ocl::detail::CheckedRunner runner(def, args, ocl::NDRange(256),
-                                    ocl::NDRange(), 64 * 1024);
+                                    ocl::NDRange());
   EXPECT_THROW(runner.run(), core::Error);
   ASSERT_NE(runner.launch_proof(), nullptr);
   EXPECT_FALSE(runner.launch_proof()->all_proven());
